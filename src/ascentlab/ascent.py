@@ -2,9 +2,12 @@
 
 Engines work against any landscape object that exposes `domains`,
 `check_assignment`, `fitness`, and the unchecked `_delta(x, k, s, v)` hook;
-both `VcspInstance` and the expanded-landscape oracle qualify.  Engines use
-delta evaluation internally; the verifiers re-derive everything from scratch
-with full fitness evaluations so they catch delta bugs.
+both `VcspInstance` and the expanded-landscape oracle qualify.  All three
+engines run through one pure-Python step loop with exact integers, in
+recorded and summary mode alike; each engine only supplies the policy that
+picks the next move, using delta evaluation.  The verifiers re-derive
+everything from scratch with full fitness evaluations so they catch delta
+bugs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .model import InvalidAssignmentError, VcspInstance
+from .model import InvalidAssignmentError
 
 
 @dataclass(frozen=True)
@@ -64,15 +67,79 @@ class AscentTrace:
         return [rec.fitness_after for rec in self.steps]
 
 
-def _start_state(landscape, start: Sequence[int]) -> tuple[list[int], int]:
-    landscape.check_assignment(start)
-    x = list(start)
-    return x, landscape.fitness(x)
+def _walk(
+    landscape,
+    start: Sequence[int],
+    step_limit: int | None,
+    record_steps: bool,
+    policy: str,
+    moves,
+) -> AscentTrace:
+    """The step loop every engine shares.
 
-
-def _check_limit(step_limit: int | None) -> None:
+    `moves(x)` yields `(var, target, gain, tied, ambiguous)` for the live
+    assignment `x`, reading it again after each applied move, and stops at a
+    local solution.  The walk is terminal unless a move was offered once the
+    step limit had been reached.
+    """
     if step_limit is not None and step_limit < 0:
         raise InvalidAssignmentError(f"step limit must be >= 0, got {step_limit}")
+    landscape.check_assignment(start)
+    x = list(start)
+    f = landscape.fitness(x)
+    limit = -1 if step_limit is None else step_limit
+    steps: list[StepRecord] | None = [] if record_steps else None
+    length = 0
+    tie_steps = 0
+    ambiguous_steps = 0
+    terminal = True
+    for k, t, gain, tied, ambiguous in moves(x):
+        if length == limit:
+            terminal = False
+            break
+        if steps is not None:
+            steps.append(StepRecord(k, x[k], t, f + gain))
+        x[k] = t
+        f += gain
+        length += 1
+        if tied:
+            tie_steps += 1
+        if ambiguous:
+            ambiguous_steps += 1
+    return AscentTrace(
+        start=tuple(start),
+        steps=tuple(steps) if steps is not None else None,
+        length=length,
+        terminal=terminal,
+        policy=policy,
+        tie_steps=tie_steps,
+        ambiguous_steps=ambiguous_steps,
+        final=tuple(x),
+        final_fitness=f,
+    )
+
+
+def _steepest_moves(landscape, x: list[int]):
+    delta = landscape._delta
+    domains = landscape.domains
+    n = len(domains)
+    while True:
+        best_gain = 0
+        best = None
+        tied = False
+        for k in range(n):
+            s = x[k]
+            for t in domains[k].adjacent(s):
+                g = delta(x, k, s, t)
+                if g > best_gain:
+                    best_gain = g
+                    best = (k, t)
+                    tied = False
+                elif g == best_gain and best is not None and g > 0:
+                    tied = True
+        if best is None:
+            return
+        yield best[0], best[1], best_gain, tied, False
 
 
 def steepest_ascent(
@@ -87,51 +154,9 @@ def steepest_ascent(
     every tied step is counted.  Stops at a local solution (terminal) or when
     the step limit is reached (non-terminal).
     """
-    _check_limit(step_limit)
-    x, f = _start_state(landscape, start)
-    domains = landscape.domains
-    n = len(domains)
-    steps: list[StepRecord] | None = [] if record_steps else None
-    length = 0
-    ties = 0
-    terminal = True
-    while True:
-        best_gain = 0
-        best = None
-        tied = False
-        for k in range(n):
-            s = x[k]
-            for t in domains[k].adjacent(s):
-                g = landscape._delta(x, k, s, t)
-                if g > best_gain:
-                    best_gain = g
-                    best = (k, s, t)
-                    tied = False
-                elif g == best_gain and best is not None and g > 0:
-                    tied = True
-        if best is None:
-            break
-        if step_limit is not None and length >= step_limit:
-            terminal = False
-            break
-        k, s, t = best
-        x[k] = t
-        f += best_gain
-        length += 1
-        if tied:
-            ties += 1
-        if steps is not None:
-            steps.append(StepRecord(k, s, t, f))
-    return AscentTrace(
-        start=tuple(start),
-        steps=tuple(steps) if steps is not None else None,
-        length=length,
-        terminal=terminal,
-        policy="steepest",
-        tie_steps=ties,
-        ambiguous_steps=0,
-        final=tuple(x),
-        final_fitness=f,
+    return _walk(
+        landscape, start, step_limit, record_steps, "steepest",
+        lambda x: _steepest_moves(landscape, x),
     )
 
 
@@ -155,6 +180,31 @@ def _order_positions(landscape, order: Sequence[int] | None) -> tuple[tuple[int,
     return order, back
 
 
+def _ordered_moves(landscape, x: list[int], order: tuple[int, ...], back: list[int]):
+    delta = landscape._delta
+    domains = landscape.domains
+    n = len(domains)
+    p = 0
+    while p < n:
+        k = order[p]
+        s = x[k]
+        best_gain = 0
+        best_t = -1
+        improving = 0
+        for t in domains[k].adjacent(s):
+            g = delta(x, k, s, t)
+            if g > 0:
+                improving += 1
+                if g > best_gain:
+                    best_gain = g
+                    best_t = t
+        if best_t < 0:
+            p += 1
+            continue
+        yield k, best_t, best_gain, False, improving > 1
+        p = back[k]
+
+
 def ordered_ascent(
     landscape,
     start: Sequence[int],
@@ -168,61 +218,28 @@ def ordered_ascent(
     (lowest state id on a tie) and flags the step as ambiguous when more than
     one improving state existed.
     """
-    _check_limit(step_limit)
     order, back = _order_positions(landscape, order)
-    if (
-        not record_steps
-        and isinstance(landscape, VcspInstance)
-        and _fast_ordered_applicable(landscape)
-    ):
-        return _fast_ordered(landscape, start, order, back, step_limit)
+    return _walk(
+        landscape, start, step_limit, record_steps, "ordered",
+        lambda x: _ordered_moves(landscape, x, order, back),
+    )
 
-    x, f = _start_state(landscape, start)
+
+def _first_moves(landscape, x: list[int], seed: int):
+    rng = random.Random(seed)
+    delta = landscape._delta
     domains = landscape.domains
     n = len(domains)
-    steps: list[StepRecord] | None = [] if record_steps else None
-    length = 0
-    ambiguous = 0
-    terminal = True
-    p = 0
-    while p < n:
-        k = order[p]
-        s = x[k]
-        best_gain = 0
-        best_t = -1
-        improving = 0
-        for t in domains[k].adjacent(s):
-            g = landscape._delta(x, k, s, t)
+    while True:
+        moves = [(k, t) for k in range(n) for t in domains[k].adjacent(x[k])]
+        rng.shuffle(moves)
+        for k, t in moves:
+            g = delta(x, k, x[k], t)
             if g > 0:
-                improving += 1
-                if g > best_gain:
-                    best_gain = g
-                    best_t = t
-        if best_t < 0:
-            p += 1
-            continue
-        if step_limit is not None and length >= step_limit:
-            terminal = False
-            break
-        x[k] = best_t
-        f += best_gain
-        length += 1
-        if improving > 1:
-            ambiguous += 1
-        if steps is not None:
-            steps.append(StepRecord(k, s, best_t, f))
-        p = back[k]
-    return AscentTrace(
-        start=tuple(start),
-        steps=tuple(steps) if steps is not None else None,
-        length=length,
-        terminal=terminal,
-        policy="ordered",
-        tie_steps=0,
-        ambiguous_steps=ambiguous,
-        final=tuple(x),
-        final_fitness=f,
-    )
+                yield k, t, g, False, False
+                break
+        else:
+            return
 
 
 def first_improvement_ascent(
@@ -233,93 +250,15 @@ def first_improvement_ascent(
     record_steps: bool = True,
 ) -> AscentTrace:
     """Take the first improving move found in a seeded random scan."""
-    _check_limit(step_limit)
-    x, f = _start_state(landscape, start)
-    domains = landscape.domains
-    n = len(domains)
-    rng = random.Random(seed)
-    steps: list[StepRecord] | None = [] if record_steps else None
-    length = 0
-    terminal = True
-    while True:
-        moves = [(k, t) for k in range(n) for t in domains[k].adjacent(x[k])]
-        rng.shuffle(moves)
-        chosen = None
-        for k, t in moves:
-            g = landscape._delta(x, k, x[k], t)
-            if g > 0:
-                chosen = (k, t, g)
-                break
-        if chosen is None:
-            break
-        if step_limit is not None and length >= step_limit:
-            terminal = False
-            break
-        k, t, g = chosen
-        s = x[k]
-        x[k] = t
-        f += g
-        length += 1
-        if steps is not None:
-            steps.append(StepRecord(k, s, t, f))
-    return AscentTrace(
-        start=tuple(start),
-        steps=tuple(steps) if steps is not None else None,
-        length=length,
-        terminal=terminal,
-        policy="first",
-        tie_steps=0,
-        ambiguous_steps=0,
-        final=tuple(x),
-        final_fitness=f,
+    return _walk(
+        landscape, start, step_limit, record_steps, "first",
+        lambda x: _first_moves(landscape, x, seed),
     )
 
 
-# -- fast summary-mode runner -------------------------------------------------
-
-_FAST_BOUND = 2**62
-
-
-def _fast_ordered_applicable(instance: VcspInstance) -> bool:
-    if instance.max_arity > 2:
-        return False
-    if instance.worst_case_bound() >= _FAST_BOUND:
-        return False
-    try:
-        from . import _fastpath  # noqa: F401
-    except Exception:
-        return False
-    return _fastpath.AVAILABLE
-
-
-def _fast_ordered(
-    instance: VcspInstance,
-    start: Sequence[int],
-    order: tuple[int, ...],
-    back: list[int],
-    step_limit: int | None,
-) -> AscentTrace:
-    from . import _fastpath
-
-    instance.check_assignment(start)
-    f0 = instance.fitness(start)
-    length, terminal, ambiguous, final, total_gain = _fastpath.run_ordered(
-        instance, start, order, back, -1 if step_limit is None else step_limit
-    )
-    final_fitness = f0 + total_gain
-    if instance.fitness(final) != final_fitness:
-        raise RuntimeError("fast ordered runner disagrees with exact evaluation")
-    return AscentTrace(
-        start=tuple(start),
-        steps=None,
-        length=length,
-        terminal=terminal,
-        policy="ordered",
-        tie_steps=0,
-        ambiguous_steps=ambiguous,
-        final=final,
-        final_fitness=final_fitness,
-    )
+# perfbench/run.py's environment block reads this gate; no compiled path exists.
+def _fast_ordered_applicable(instance) -> bool:
+    return False
 
 
 # -- verifiers ----------------------------------------------------------------

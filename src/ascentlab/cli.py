@@ -127,13 +127,24 @@ def _load_start(args, instance) -> tuple[int, ...]:
         return canonical_start(instance.family, instance.base_n)
     data = json.loads(Path(args.start).read_text(encoding="utf-8"))
     if isinstance(data, dict):
+        if "values" not in data:
+            raise BuildError("start file object has no 'values'")
         data = data["values"]
+    if not isinstance(data, list):
+        raise BuildError("start file must hold a list of state ids or labels")
+    if len(data) != instance.n_vars:
+        raise BuildError(f"assignment has length {len(data)}, expected {instance.n_vars}")
     values = []
     for k, v in enumerate(data):
-        if isinstance(v, str):
-            values.append(instance.domains[k].states.index(v))
+        states = instance.domains[k].states
+        if type(v) is int:
+            values.append(v)
+        elif isinstance(v, str) and v in states:
+            values.append(states.index(v))
         else:
-            values.append(int(v))
+            raise BuildError(
+                f"start value {v!r} for variable {k} is neither a state id nor a label"
+            )
     return tuple(values)
 
 
@@ -199,6 +210,9 @@ def _parse_caps(raw: list[str], check: str) -> dict[str, int]:
             if check == "all":
                 raise BuildError("bare --cap N needs a single --check")
             caps[check] = int(item)
+    low = {key: n for key, n in caps.items() if n < 2}
+    if low:
+        raise BuildError(f"caps must be at least 2 (every check starts at n=2), got {low}")
     return caps
 
 

@@ -24,11 +24,9 @@ from .model import (
     BuildError,
     DomainSpec,
     PathDecomposition,
-    TransitionError,
     ValuedConstraint,
     VcspInstance,
     check_assignment_against,
-    int_range_limit,
     neighbors_of,
 )
 
@@ -95,20 +93,10 @@ def _scaled(table: Iterable[Iterable[int]], w: int) -> tuple[int, ...]:
     return tuple(w * v for row in table for v in row)
 
 
-def _check_range(bound: int, what: str) -> None:
-    limit = int_range_limit()
-    if limit is not None and bound > limit:
-        raise BuildError(
-            f"{what}: worst-case fitness magnitude {bound} exceeds the "
-            f"declared integer range ({limit}); set ASCENTLAB_INT_RANGE=wide"
-        )
-
-
 def _finish(instance: VcspInstance, what: str) -> VcspInstance:
     defects = instance.validate()
     if defects:
         raise BuildError(f"{what} produced a defective instance: " + "; ".join(defects))
-    _check_range(instance.worst_case_bound(), what)
     return instance
 
 
@@ -196,10 +184,6 @@ class ExpansionMap:
     def domains(self) -> tuple[DomainSpec, ...]:
         return tuple(d.spec for d in self.doms)
 
-    def embed(self, base_x: Sequence[int]) -> tuple[int, ...]:
-        """Base assignments keep their state ids in the expanded space."""
-        return tuple(base_x)
-
 
 class ExpandedLandscape:
     """Fitness over expanded domains, defined directly from the base instance.
@@ -230,14 +214,30 @@ class ExpandedLandscape:
     def check_assignment(self, x: Sequence[int]) -> None:
         check_assignment_against(self.domains, x)
 
+    def _intermediates(self, x: Sequence[int]) -> list[int]:
+        return [k for k in range(self.n_vars) if not self.emap.doms[k].is_main(x[k])]
+
+    def _min_completion(self, x: Sequence[int], inter: list[int]) -> int:
+        """Smallest base fitness over every way of replacing each intermediate
+        in `inter` by one of its two flanking main states."""
+        y = list(x)
+        best = None
+        for combo in itertools.product(*(self.emap.doms[k].pair_of(x[k]) for k in inter)):
+            for k, w in zip(inter, combo):
+                y[k] = w
+            f = self.base.fitness(y)
+            if best is None or f < best:
+                best = f
+        return best
+
     def fitness(self, x: Sequence[int]) -> int:
         self.check_assignment(x)
-        inter = [k for k in range(self.n_vars) if not self.emap.doms[k].is_main(x[k])]
+        inter = self._intermediates(x)
         if not inter:
             return self.scale * self.base.fitness(x)
-        y = list(x)
         if len(inter) == 1:
             k = inter[0]
+            y = list(x)
             u, v = self.emap.doms[k].pair_of(x[k])
             y[k] = u
             fu = self.base.fitness(y)
@@ -246,45 +246,22 @@ class ExpandedLandscape:
             if fu == fv:
                 return self.scale * fu
             return self.bonus[k] + self.scale * min(fu, fv)
-        pairs = [self.emap.doms[k].pair_of(x[k]) for k in inter]
-        best = None
-        for combo in itertools.product(*pairs):
-            for k, w in zip(inter, combo):
-                y[k] = w
-            f = self.base.fitness(y)
-            if best is None or f < best:
-                best = f
-        return self.scale * best
+        return self.scale * self._min_completion(x, inter)
 
     def pair_ceiling(self, x: Sequence[int]) -> int:
         """The two-intermediate fitness ceiling for an assignment with exactly
         two intermediates; anything at or below it keeps such states off a
         steepest ascent."""
-        inter = [k for k in range(self.n_vars) if not self.emap.doms[k].is_main(x[k])]
+        inter = self._intermediates(x)
         if len(inter) != 2:
             raise BuildError("ceiling is defined for exactly two intermediates")
         j, k = inter
-        y = list(x)
-        pairs = [self.emap.doms[i].pair_of(x[i]) for i in inter]
-        best = None
-        for combo in itertools.product(*pairs):
-            for i, w in zip(inter, combo):
-                y[i] = w
-            f = self.base.fitness(y)
-            if best is None or f < best:
-                best = f
-        return self.bonus[j] + self.bonus[k] + self.scale * best
+        return self.bonus[j] + self.bonus[k] + self.scale * self._min_completion(x, inter)
 
     def _delta(self, x: Sequence[int], k: int, s: int, v: int) -> int:
         y = list(x)
         y[k] = v
         return self.fitness(y) - self.fitness(x)
-
-    def delta_fitness(self, x: Sequence[int], k: int, v: int) -> int:
-        self.check_assignment(x)
-        if v != x[k] and not self.domains[k].allows(x[k], v):
-            raise TransitionError(f"move {x[k]}->{v} at variable {k} is not permitted")
-        return self._delta(x, k, x[k], v)
 
     def neighbors(self, x: Sequence[int]) -> list[tuple[int, int]]:
         self.check_assignment(x)
@@ -319,7 +296,7 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
         steps.append(StepRecord(k, sid, v, landscape.fitness(x)))
     final = tuple(x)
     return AscentTrace(
-        start=landscape.emap.embed(trace.start),
+        start=tuple(trace.start),
         steps=tuple(steps),
         length=2 * trace.length,
         terminal=trace.terminal,

@@ -3,20 +3,16 @@
 A VCSP here is a list of finite domains (each with an undirected transition
 relation restricting single-variable moves) plus a list of integer-valued
 constraints over dense tensors.  Fitness of an assignment is the sum of the
-constraint values it selects.  All arithmetic uses Python integers, so values
-never wrap; an optional environment switch rejects instances whose worst-case
-fitness magnitude exceeds the signed 64-bit range.
+constraint values it selects.  All arithmetic uses unbounded Python integers,
+so values never wrap and no instance is too large to evaluate exactly.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
-
-INT64_MAX = 2**63 - 1
 
 
 class ModelError(ValueError):
@@ -32,22 +28,7 @@ class TransitionError(ModelError):
 
 
 class BuildError(ModelError):
-    """Instance construction failed (bad parameters, range overflow, defects)."""
-
-
-def int_range_limit() -> int | None:
-    """Magnitude cap for instance values, from ASCENTLAB_INT_RANGE.
-
-    "wide" (the default) keeps arbitrary-precision integers uncapped; "64"
-    makes builders reject any instance whose worst-case fitness magnitude
-    does not fit a signed 64-bit word.
-    """
-    mode = os.environ.get("ASCENTLAB_INT_RANGE", "wide")
-    if mode == "wide":
-        return None
-    if mode == "64":
-        return INT64_MAX
-    raise BuildError(f"ASCENTLAB_INT_RANGE must be '64' or 'wide', got {mode!r}")
+    """Instance construction failed (bad parameters, malformed input, defects)."""
 
 
 @dataclass(frozen=True)
@@ -111,9 +92,6 @@ class ValuedConstraint:
     @property
     def arity(self) -> int:
         return len(self.scope)
-
-    def max_abs(self) -> int:
-        return max((abs(v) for v in self.values), default=0)
 
 
 def check_assignment_against(domains: Sequence[DomainSpec], x: Sequence[int]) -> None:
@@ -198,10 +176,6 @@ class VcspInstance:
     def max_arity(self) -> int:
         return max((c.arity for c in self.constraints), default=0)
 
-    def worst_case_bound(self) -> int:
-        """Sum over constraints of the largest absolute tensor entry."""
-        return sum(c.max_abs() for c in self.constraints)
-
     def var_neighbors(self, k: int) -> tuple[int, ...]:
         """Variables sharing at least one constraint with k."""
         return self._var_neighbors[k]  # type: ignore[attr-defined]
@@ -230,12 +204,6 @@ class VcspInstance:
                 defects.append(
                     f"{who}: tensor has {len(c.values)} entries, expected {expected}"
                 )
-        limit = int_range_limit()
-        if limit is not None and self.worst_case_bound() > limit:
-            defects.append(
-                f"worst-case fitness magnitude {self.worst_case_bound()} exceeds "
-                f"the declared integer range ({limit})"
-            )
         return defects
 
     def check_assignment(self, x: Sequence[int]) -> None:
@@ -248,21 +216,6 @@ class VcspInstance:
         self.check_assignment(x)
         total = 0
         for c, strides in zip(self.constraints, self._strides):  # type: ignore[attr-defined]
-            idx = 0
-            for var, st in zip(c.scope, strides):
-                idx += x[var] * st
-            total += c.values[idx]
-        return total
-
-    def restricted_fitness(self, k: int, x: Sequence[int]) -> int:
-        """Sum over exactly the constraints whose scope contains variable k."""
-        self.check_assignment(x)
-        if not (0 <= k < self.n_vars):
-            raise InvalidAssignmentError(f"variable {k} out of range")
-        total = 0
-        for ci in self._var_constraints[k]:  # type: ignore[attr-defined]
-            c = self.constraints[ci]
-            strides = self._strides[ci]  # type: ignore[attr-defined]
             idx = 0
             for var, st in zip(c.scope, strides):
                 idx += x[var] * st
@@ -319,10 +272,6 @@ class VcspInstance:
                 if self._delta(x, k, s, t) > 0:
                     return False
         return True
-
-    def hypergraph(self) -> list[tuple[frozenset[int], str]]:
-        """One labeled hyperedge (scope set) per constraint, duplicates kept."""
-        return [(frozenset(c.scope), c.label) for c in self.constraints]
 
     def all_assignments(self) -> Iterator[tuple[int, ...]]:
         """Iterate the full assignment space in row-major order."""
@@ -428,29 +377,62 @@ def instance_to_json(instance: VcspInstance) -> dict:
     }
 
 
-def instance_from_json(data: dict) -> VcspInstance:
-    if data.get("version") != _FORMAT_VERSION:
-        raise BuildError(f"unsupported instance format version {data.get('version')!r}")
+def _field(obj: dict, key: str, kind: type, who: str, default=None):
+    """obj[key] (or `default` when given and the key is absent), which must be
+    of exactly `kind`, so JSON booleans never pass as integers."""
+    if key not in obj and default is not None:
+        return default
+    if key not in obj:
+        raise BuildError(f"{who} has no {key!r}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise BuildError(f"{who}: {key!r} must be of type {kind.__name__}")
+    return value
+
+
+def _items(obj: dict, key: str, kind: type, who: str, default=None) -> list:
+    """obj[key] as a list whose items are all of exactly `kind`."""
+    values = _field(obj, key, list, who, default)
+    if any(type(v) is not kind for v in values):
+        raise BuildError(f"{who}: {key!r} must hold only {kind.__name__} items")
+    return values
+
+
+def instance_from_json(data) -> VcspInstance:
+    """Instance from its JSON form; a malformed document raises BuildError."""
+    if not isinstance(data, dict):
+        raise BuildError("instance file must hold a JSON object")
+    version = data.get("version")
+    if type(version) is not int or version != _FORMAT_VERSION:
+        raise BuildError(f"unsupported instance format version {version!r}")
     domains = []
     names = []
-    for v in data["variables"]:
-        names.append(v.get("name", ""))
-        domains.append(
-            DomainSpec(
-                tuple(v["states"]),
-                frozenset(tuple(p) for p in v.get("transitions", [])),
+    for i, v in enumerate(_items(data, "variables", dict, "instance file")):
+        who = f"variable #{i}"
+        names.append(_field(v, "name", str, who, default=""))
+        pairs = _items(v, "transitions", list, who, default=[])
+        if any(len(p) != 2 or any(type(s) is not int for s in p) for p in pairs):
+            raise BuildError(f"{who}: every transition must be a pair of state ids")
+        states = _items(v, "states", str, who)
+        if len(set(states)) != len(states):
+            raise BuildError(f"{who}: state labels must be distinct")
+        domains.append(DomainSpec(tuple(states), frozenset(map(tuple, pairs))))
+    constraints = []
+    for i, c in enumerate(_items(data, "constraints", dict, "instance file")):
+        who = f"constraint #{i}"
+        constraints.append(
+            ValuedConstraint(
+                tuple(_items(c, "scope", int, who)),
+                tuple(_items(c, "values", int, who)),
+                _field(c, "label", str, who, default=""),
             )
         )
-    constraints = [
-        ValuedConstraint(tuple(c["scope"]), tuple(c["values"]), c.get("label", ""))
-        for c in data["constraints"]
-    ]
-    meta = data.get("meta", {})
+    meta = _field(data, "meta", dict, "instance file", default={})
     inst = VcspInstance(
         tuple(domains),
         tuple(constraints),
-        family=meta.get("family", ""),
-        base_n=int(meta.get("n", 0)),
+        family=_field(meta, "family", str, "meta", default=""),
+        base_n=_field(meta, "n", int, "meta", default=0),
         var_names=tuple(names),
     )
     defects = inst.validate()
@@ -469,7 +451,3 @@ def load_instance(path: str | Path) -> VcspInstance:
 
 def decomposition_to_json(d: PathDecomposition) -> dict:
     return {"bags": [sorted(b) for b in d.bags]}
-
-
-def decomposition_from_json(data: dict) -> PathDecomposition:
-    return PathDecomposition(tuple(frozenset(b) for b in data["bags"]))

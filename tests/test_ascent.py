@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import ascentlab
 from ascentlab import (
     DomainSpec,
     ValuedConstraint,
     VcspInstance,
     build_2by3,
     build_3by5,
+    build_family,
+    canonical_start,
     f_max,
     first_improvement_ascent,
     ordered_ascent,
@@ -168,7 +177,7 @@ def test_trace_length_never_exceeds_the_fitness_span():
         assert tr.length <= f_max(3) - inst.fitness(x)
 
 
-# -- fast summary mode ------------------------------------------------------------
+# -- summary mode ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 9, 12])
@@ -223,18 +232,50 @@ def test_summary_mode_counts_ambiguity_like_the_recorded_mode():
     assert full.final == summary.final == (B,)  # lowest improving state wins
 
 
-def test_summary_mode_without_the_compiled_path():
-    # Arity-3 instances fall back to the plain engine in summary mode.
-    inst = build_3by5(3)
-    full = ordered_ascent(inst, (A,) * 3)
-    summary = ordered_ascent(inst, (A,) * 3, record_steps=False)
+ENGINES = {
+    "steepest": steepest_ascent,
+    "ordered": ordered_ascent,
+    "first": functools.partial(first_improvement_ascent, seed=5),
+}
+SUMMARY_FIELDS = ("length", "terminal", "final", "final_fitness", "tie_steps", "ambiguous_steps")
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("family,n", [("2by3", 6), ("3by5", 4), ("bool-pw4", 4)])
+def test_summary_mode_equals_recorded_mode(family, n, engine):
+    inst = build_family(family, n)
+    start = canonical_start(family, n)
+    full = ENGINES[engine](inst, start)
+    summary = ENGINES[engine](inst, start, record_steps=False)
     assert summary.steps is None
-    assert (summary.length, summary.final, summary.final_fitness, summary.terminal) == (
-        full.length,
-        full.final,
-        full.final_fitness,
-        full.terminal,
+    assert [getattr(summary, f) for f in SUMMARY_FIELDS] == [
+        getattr(full, f) for f in SUMMARY_FIELDS
+    ]
+
+
+def test_engines_import_only_the_standard_library():
+    # pyproject.toml declares no runtime dependencies; a fresh interpreter
+    # that runs every engine in summary mode must not load any either.
+    script = textwrap.dedent(
+        """
+        import json, sys
+        before = set(sys.modules)
+        import ascentlab as al
+        for family in al.constructions.FAMILIES:
+            inst, start = al.build_family(family, 4), al.canonical_start(family, 4)
+            for engine in (al.steepest_ascent, al.ordered_ascent, al.first_improvement_ascent):
+                engine(inst, start, record_steps=False)
+        added = {name.partition(".")[0] for name in set(sys.modules) - before}
+        print(json.dumps(sorted(added - set(sys.stdlib_module_names) - {"ascentlab"})))
+        """
     )
+    src = Path(ascentlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 # -- export ------------------------------------------------------------------------

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import random
 
-from ascentlab import build_2by3, f_max, load_instance
+import pytest
+
+from ascentlab import build_2by3, f_max, instance_to_json, load_instance
 from ascentlab.cli import main
 from ascentlab.verification import brute_force_extremes
 
@@ -96,6 +98,62 @@ def test_ascend_flag_conflicts(capsys, tmp_path):
         "--summary-only", "--trace", str(tmp_path / "t.csv"),
     )
     assert code == 2
+
+
+_REMOVE = object()
+
+
+def _edited(*path, to=_REMOVE):
+    """The 2by3 n=2 instance document with the entry at `path` set to `to`,
+    or removed."""
+    doc = instance_to_json(build_2by3(2))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if to is _REMOVE:
+        del node[last]
+    else:
+        node[last] = to
+    return doc
+
+
+MALFORMED_INPUTS = {
+    "instance-is-a-list": ("--instance", [instance_to_json(build_2by3(2))]),
+    "instance-without-variables": ("--instance", _edited("variables")),
+    "instance-without-constraints": ("--instance", _edited("constraints")),
+    "variable-without-states": ("--instance", _edited("variables", 0, "states")),
+    "constraint-without-values": ("--instance", _edited("constraints", 0, "values")),
+    "fractional-value": ("--instance", _edited("constraints", 0, "values", 1, to=1.9)),
+    "boolean-value": ("--instance", _edited("constraints", 0, "values", 1, to=True)),
+    "boolean-version": ("--instance", _edited("version", to=True)),
+    "repeated-state-label": ("--instance", _edited("variables", 0, "states", to=["A", "A"])),
+    "start-object-without-values": ("--start", {"states": [0, 0]}),
+    "start-is-a-number": ("--start", 5),
+    "start-labels-too-long": ("--start", ["A", "B", "A"]),
+    "fractional-start": ("--start", [0, 1.5]),
+}
+
+
+@pytest.mark.parametrize(
+    "flag,document", list(MALFORMED_INPUTS.values()), ids=list(MALFORMED_INPUTS)
+)
+def test_malformed_input_files_exit_2(tmp_path, capsys, flag, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    if flag == "--instance":
+        source = ["--instance", str(path)]
+    else:
+        source = ["--family", "2by3", "--n", "2", "--start", str(path)]
+    code, out, err = run(capsys, "ascend", *source)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap", ["pathwidth=-3", "pathwidth=1", "boolean-equiv=0", "1"])
+def test_verify_rejects_caps_below_two(capsys, cap):
+    code, out, err = run(capsys, "verify", "--check", "pathwidth", "--cap", cap)
+    assert code == 2 and out == "" and "at least 2" in err
 
 
 def test_verify_single_check(capsys):

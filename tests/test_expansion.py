@@ -27,8 +27,12 @@ def test_expanded_domains_and_transitions():
 
 
 def test_main_states_keep_their_ids():
-    ls = expand_landscape(build_2by3(3))
-    assert ls.emap.embed((B, A, B)) == (B, A, B)
+    base = build_2by3(3)
+    ls = expand_landscape(base)
+    for d, e in zip(base.domains, ls.domains):
+        assert e.states[: d.size] == d.states
+    walk = ordered_ascent(base, (B, A, B))
+    assert simulate_ascent(walk, ls).start == (B, A, B)
 
 
 def test_padded_fitness_examples():

@@ -56,7 +56,7 @@ def test_frozen_domain_is_legal():
     assert d.adjacent(0) == ()
 
 
-# -- fitness and restricted fitness ---------------------------------------------
+# -- fitness ----------------------------------------------------------------------
 
 
 def test_fitness_examples():
@@ -75,27 +75,6 @@ def test_fitness_rejects_invalid_assignments():
         inst.fitness((A,))
     with pytest.raises(InvalidAssignmentError):
         inst.fitness((2, 0))
-
-
-def test_restricted_fitness_example():
-    inst = build_2by3(3)
-    # Both chain constraints contain the middle variable, the end unary does not.
-    assert inst.restricted_fitness(1, (B, A, B)) == 5
-
-
-def test_restricted_fitness_empty():
-    assert empty_instance().restricted_fitness(0, (A, A)) == 0
-
-
-def test_remainder_is_independent_of_the_restricted_variable():
-    inst = build_2by3(3)
-    for k in range(3):
-        rest = {
-            (x[:k], x[k + 1 :]): inst.fitness(x) - inst.restricted_fitness(k, x)
-            for x in inst.all_assignments()
-        }
-        for x in inst.all_assignments():
-            assert inst.fitness(x) - inst.restricted_fitness(k, x) == rest[(x[:k], x[k + 1 :])]
 
 
 # -- delta evaluation ------------------------------------------------------------
@@ -185,19 +164,6 @@ def test_local_solution_examples():
     assert empty_instance().is_local_solution((A, B))
 
 
-# -- hypergraph --------------------------------------------------------------------
-
-
-def test_hypergraph_examples():
-    assert build_2by3(2).hypergraph() == [
-        (frozenset({0, 1}), "M1@1-2"),
-        (frozenset({1}), "L1@2-A"),
-    ]
-    assert empty_instance().hypergraph() == []
-    inst, _, _, _ = build_boolean_pw4(3)
-    assert max(len(e) for e, _ in inst.hypergraph()) == 5
-
-
 # -- validation ---------------------------------------------------------------------
 
 
@@ -217,17 +183,6 @@ def test_validate_reports_unknown_scope_variable():
     doms = (DomainSpec(("A", "B"), frozenset({(0, 1)})),)
     inst = VcspInstance(doms, (ValuedConstraint((1,), (0, 0), "oops"),))
     assert any("unknown variable" in d for d in inst.validate())
-
-
-def test_int_range_switch(monkeypatch):
-    monkeypatch.setenv("ASCENTLAB_INT_RANGE", "64")
-    with pytest.raises(BuildError):
-        build_2by3(130)  # weights near 2^66
-    monkeypatch.setenv("ASCENTLAB_INT_RANGE", "wide")
-    assert build_2by3(130).validate() == []
-    monkeypatch.setenv("ASCENTLAB_INT_RANGE", "narrow")
-    with pytest.raises(BuildError):
-        build_2by3(2)
 
 
 # -- path decompositions ---------------------------------------------------------------
