@@ -5,9 +5,18 @@ Engines work against any landscape object that exposes `domains`,
 both `VcspInstance` and the expanded-landscape oracle qualify.  All three
 engines run through one pure-Python step loop with exact integers, in
 recorded and summary mode alike; each engine only supplies the policy that
-picks the next move, using delta evaluation.  The verifiers re-derive
-everything from scratch with full fitness evaluations so they catch delta
-bugs.
+picks the next move.
+
+Steepest and ordered ascent read each variable's best move from one per-walk
+helper, `_Blankets`.  On a `VcspInstance` a variable's best move depends only
+on its own state and its blanket `var_neighbors(k)`, so the helper memoises
+it under an incrementally updated key over those states: ordered ascent makes
+one lookup per scan position, and steepest ascent caches one entry per
+variable and refreshes only the moved variable and its blanket.  Landscapes
+without `var_neighbors` get every entry straight from `_delta`, and steepest
+rescans every variable.  First-improvement ascent calls `_delta` directly.
+The verifiers re-derive everything from scratch with full fitness
+evaluations so they catch delta and memo bugs.
 """
 
 from __future__ import annotations
@@ -119,27 +128,103 @@ def _walk(
     )
 
 
-def _steepest_moves(landscape, x: list[int]):
-    delta = landscape._delta
-    domains = landscape.domains
-    n = len(domains)
-    while True:
-        best_gain = 0
-        best = None
-        tied = False
-        for k in range(n):
+class _NoMemo:
+    """Stands in for a variable's memo when its blanket is unknown: every
+    lookup misses and nothing is stored."""
+
+    def get(self, key):
+        return None
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class _Blankets:
+    """Per-walk best-move entries for every variable of the live assignment `x`.
+
+    An entry is `(best gain, lowest argmax target, #argmax, #improving)` over
+    the variable's permitted moves, with gain 0 and target -1 when no move
+    improves; `scan(k)` computes k's entry from `_delta`.
+
+    On a landscape with `var_neighbors`, k's entry depends only on its own
+    state and the states of its blanket `var_neighbors(k)`.  `keys[k]` is a
+    mixed-radix key over those states, and `memos[k]` maps a key to its entry
+    and fills as the walk visits keys.  After x[k] goes from s to t, the
+    caller adds `(t - s) * w` to `keys[d]` for every `(d, w)` in `deps[k]`;
+    `touched[k]` lists those d, the variables whose entry may have changed.
+    Other landscapes keep every key at 0, never store an entry, and report
+    every variable as touched, so each lookup rescans through `_delta`.
+    """
+
+    __slots__ = ("scan", "keys", "deps", "touched", "memos")
+
+    def __init__(self, landscape, x: list[int]):
+        delta = landscape._delta
+        adjacent = [d.adjacent for d in landscape.domains]
+        n = len(adjacent)
+
+        def scan(k: int) -> tuple[int, int, int, int]:
             s = x[k]
-            for t in domains[k].adjacent(s):
+            best_gain = 0
+            best_t = -1
+            n_best = 0
+            improving = 0
+            for t in adjacent[k](s):
                 g = delta(x, k, s, t)
-                if g > best_gain:
-                    best_gain = g
-                    best = (k, t)
-                    tied = False
-                elif g == best_gain and best is not None and g > 0:
-                    tied = True
-        if best is None:
+                if g > 0:
+                    improving += 1
+                    if g > best_gain:
+                        best_gain = g
+                        best_t = t
+                        n_best = 1
+                    elif g == best_gain:
+                        n_best += 1
+            return best_gain, best_t, n_best, improving
+
+        self.scan = scan
+        self.keys = [0] * n
+        self.deps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        get_nbrs = getattr(landscape, "var_neighbors", None)
+        if not callable(get_nbrs):
+            self.touched = [range(n)] * n
+            self.memos = [_NoMemo()] * n
             return
-        yield best[0], best[1], best_gain, tied, False
+        sizes = [d.size for d in landscape.domains]
+        for k in range(n):
+            w = 1
+            for j in (k,) + tuple(get_nbrs(k)):
+                self.deps[j].append((k, w))
+                self.keys[k] += x[j] * w
+                w *= sizes[j]
+        self.touched = [tuple(d for d, _ in dep) for dep in self.deps]
+        self.memos = [{} for _ in range(n)]
+
+
+def _steepest_moves(landscape, x: list[int]):
+    b = _Blankets(landscape, x)
+    scan, keys, deps, touched, memos = b.scan, b.keys, b.deps, b.touched, b.memos
+    n = len(x)
+    entries: list[tuple[int, int, int, int]] = [(0, -1, 0, 0)] * n
+    gains = [0] * n
+    refresh = range(n)
+    while True:
+        for k in refresh:
+            e = memos[k].get(keys[k])
+            if e is None:
+                e = memos[k][keys[k]] = scan(k)
+            entries[k] = e
+            gains[k] = e[0]
+        g = max(gains, default=0)
+        if g <= 0:
+            return
+        k = gains.index(g)
+        e = entries[k]
+        t = e[1]
+        diff = t - x[k]
+        yield k, t, g, e[2] > 1 or gains.count(g) > 1, False
+        for d, w in deps[k]:
+            keys[d] += diff * w
+        refresh = touched[k]
 
 
 def steepest_ascent(
@@ -181,27 +266,23 @@ def _order_positions(landscape, order: Sequence[int] | None) -> tuple[tuple[int,
 
 
 def _ordered_moves(landscape, x: list[int], order: tuple[int, ...], back: list[int]):
-    delta = landscape._delta
-    domains = landscape.domains
-    n = len(domains)
+    b = _Blankets(landscape, x)
+    scan, keys, deps, memos = b.scan, b.keys, b.deps, b.memos
+    n = len(order)
     p = 0
     while p < n:
         k = order[p]
-        s = x[k]
-        best_gain = 0
-        best_t = -1
-        improving = 0
-        for t in domains[k].adjacent(s):
-            g = delta(x, k, s, t)
-            if g > 0:
-                improving += 1
-                if g > best_gain:
-                    best_gain = g
-                    best_t = t
-        if best_t < 0:
+        e = memos[k].get(keys[k])
+        if e is None:
+            e = memos[k][keys[k]] = scan(k)
+        g, t, _, improving = e
+        if t < 0:
             p += 1
             continue
-        yield k, best_t, best_gain, False, improving > 1
+        diff = t - x[k]
+        yield k, t, g, False, improving > 1
+        for d, w in deps[k]:
+            keys[d] += diff * w
         p = back[k]
 
 

@@ -104,6 +104,13 @@ TWO_STATE = DomainSpec(("A", "B"), frozenset({(0, 1)}))
 THREE_STATE = DomainSpec(("A", "B", "C"), frozenset({(0, 1), (1, 2)}))
 
 
+def _chain_domains(n: int) -> tuple[DomainSpec, ...]:
+    """The 2by3 chain's domains: {A, B} at odd positions, {A, B, C} at even."""
+    if n < 2:
+        raise BuildError(f"need n >= 2, got {n}")
+    return tuple(TWO_STATE if k % 2 == 1 else THREE_STATE for k in range(1, n + 1))
+
+
 def build_2by3(n: int) -> VcspInstance:
     """The alternating 2-state/3-state chain with geometric weights.
 
@@ -112,9 +119,7 @@ def build_2by3(n: int) -> VcspInstance:
     and the last position gets the unary restriction of its off-the-end table
     with the phantom next position pinned to A.
     """
-    if n < 2:
-        raise BuildError(f"need n >= 2, got {n}")
-    domains = tuple(TWO_STATE if k % 2 == 1 else THREE_STATE for k in range(1, n + 1))
+    domains = _chain_domains(n)
     constraints = []
     for k in range(1, n):
         stem, w, table = _chain_link(k)
@@ -338,10 +343,7 @@ def build_3by5(n: int) -> VcspInstance:
     exactly.  Boundary constraints are the interior ones with the phantom
     flank pinned to A.
     """
-    if n < 2:
-        raise BuildError(f"need n >= 2, got {n}")
-    base = build_2by3(n)
-    emap = ExpansionMap.of(base)
+    emap = ExpansionMap(tuple(ExpandedDomain.of(d) for d in _chain_domains(n)))
     doms = emap.doms
     scale = 2 * n + 1
 
@@ -641,10 +643,7 @@ def build_boolean_pw4(
     flank shortcut from ever paying off.  State-valued tables carry the (2n+1)
     landscape scale; the per-position unary bonuses do not.
     """
-    if n < 2:
-        raise BuildError(f"need n >= 2, got {n}")
-    base = build_2by3(n)
-    emap = ExpansionMap.of(base)
+    emap = ExpansionMap(tuple(ExpandedDomain.of(d) for d in _chain_domains(n)))
     codec = _pw4_codec(emap)
     scale = 2 * n + 1
     penalty = -scale * f_max(n)
@@ -820,7 +819,7 @@ def build_boolean_pw4(
     start = codec.encode(tuple(0 for _ in range(n)))
 
     if n <= 4:
-        problem = pw4_equivalence_violation(inst, codec, ExpandedLandscape(base))
+        problem = pw4_equivalence_violation(inst, codec, ExpandedLandscape(build_2by3(n)))
         if problem is not None:
             raise BuildError(f"build_boolean_pw4({n}) self-check failed: {problem}")
 

@@ -86,8 +86,8 @@ class ValuedConstraint:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scope", tuple(int(v) for v in self.scope))
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "scope", tuple(self.scope))
+        object.__setattr__(self, "values", tuple(self.values))
 
     @property
     def arity(self) -> int:

@@ -22,9 +22,12 @@ from ascentlab import (
     build_3by5,
     build_family,
     canonical_start,
+    exhaustive_steepest_oracle,
+    expand_landscape,
     f_max,
     first_improvement_ascent,
     ordered_ascent,
+    simulate_ascent,
     steepest_ascent,
     trace_to_csv,
     trace_to_json,
@@ -33,6 +36,7 @@ from ascentlab import (
     verify_steepest,
 )
 from ascentlab.ascent import StepRecord
+from ascentlab.verification import traces_equivalent
 
 A, B, C = 0, 1, 2
 
@@ -53,6 +57,21 @@ def test_steepest_on_expanded_instance_n2():
     tr = steepest_ascent(build_3by5(2), (A, A))
     assert tr.length == 10 == 2 * f_max(2)
     assert tr.terminal and tr.tie_steps == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_engines_on_a_landscape_without_var_neighbors(n):
+    # ExpandedLandscape has no var_neighbors, so the engines keep no memo and
+    # steepest rescans every variable after each move.
+    base = build_2by3(n)
+    landscape = expand_landscape(base)
+    assert not hasattr(landscape, "var_neighbors")
+    start = canonical_start("2by3", n)
+    steep = steepest_ascent(landscape, start)
+    assert steep.length == 2 * f_max(n) and steep.tie_steps == 0
+    assert traces_equivalent(steep, simulate_ascent(ordered_ascent(base, start), landscape))
+    oracle = exhaustive_steepest_oracle(landscape, start)
+    assert traces_equivalent(steep, oracle) and oracle.tie_steps == 0
 
 
 def test_ordered_prefers_the_earliest_variable():
