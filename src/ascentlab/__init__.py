@@ -25,7 +25,6 @@ from .constructions import (
     BooleanCodec,
     ExpandedLandscape,
     ExpansionMap,
-    boolean_encode_generic,
     build_2by3,
     build_3by5,
     build_boolean_pw4,

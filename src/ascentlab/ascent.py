@@ -245,14 +245,19 @@ def steepest_ascent(
     )
 
 
+def _checked_order(n: int, order: Sequence[int] | None) -> tuple[int, ...]:
+    """The scan order (0..n-1 by default), which must permute the variables."""
+    if order is None:
+        return tuple(range(n))
+    order = tuple(order)
+    if sorted(order) != list(range(n)):
+        raise InvalidAssignmentError("order must be a permutation of the variables")
+    return order
+
+
 def _order_positions(landscape, order: Sequence[int] | None) -> tuple[tuple[int, ...], list[int]]:
     n = len(landscape.domains)
-    if order is None:
-        order = tuple(range(n))
-    else:
-        order = tuple(order)
-        if sorted(order) != list(range(n)):
-            raise InvalidAssignmentError("order must be a permutation of the variables")
+    order = _checked_order(n, order)
     pos = {k: i for i, k in enumerate(order)}
     # After moving k, only variables sharing a constraint with k can change
     # their improving status, so the scan may resume at the earliest of their
@@ -434,11 +439,10 @@ def verify_ordered(
     landscape, trace: AscentTrace, order: Sequence[int] | None = None
 ) -> AscentViolation | None:
     """No variable earlier in the order may have had an improving move."""
+    order = _checked_order(len(landscape.domains), order)
     basic = verify_ascent(landscape, trace)
     if basic is not None:
         return basic
-    n = len(landscape.domains)
-    order = tuple(order) if order is not None else tuple(range(n))
     pos = {k: i for i, k in enumerate(order)}
     states = list(trace.states())
     for i, rec in enumerate(trace.steps or ()):

@@ -31,6 +31,7 @@ from .model import (
     ModelError,
     decomposition_to_json,
     load_instance,
+    read_json,
     save_instance,
 )
 from .verification import CHECK_NAMES, DEFAULT_CAPS, run_check
@@ -124,8 +125,14 @@ def _load_start(args, instance) -> tuple[int, ...]:
     if args.start == "canonical":
         if not instance.family:
             raise BuildError("instance has no family tag; provide --start FILE")
+        # Every family has at least one variable per position.
+        if instance.base_n > instance.n_vars:
+            raise BuildError(
+                f"meta.n = {instance.base_n} cannot fit an instance of "
+                f"{instance.n_vars} variables"
+            )
         return canonical_start(instance.family, instance.base_n)
-    data = json.loads(Path(args.start).read_text(encoding="utf-8"))
+    data = read_json(args.start)
     if isinstance(data, dict):
         if "values" not in data:
             raise BuildError("start file object has no 'values'")

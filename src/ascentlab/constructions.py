@@ -11,13 +11,20 @@ the ordered ascent at twice the length.  The Boolean family ("bool-pw4")
 re-encodes the expanded domains with one-hot/two-hot bit collections and
 splits the wide minimisation constraints so that every constraint has arity
 at most 5 while the constraint graph keeps pathwidth 4.
+
+Every family closes its chain the same way: past the last position n lies a
+phantom position n+1 that has no variables and is pinned to A (its only code
+is the empty one, for state A).  A constraint that reaches across to position
+k+1 is written once; at k = n it reads the phantom and so restricts the
+interior table to its A column, and its label ends in "-A".
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ascent import AscentTrace, StepRecord
 from .model import (
@@ -89,10 +96,6 @@ def _chain_link(k: int) -> tuple[str, int, tuple[tuple[int, ...], ...]]:
     return f"L{j}", weight_m(j) + 1, CHAIN_32
 
 
-def _scaled(table: Iterable[Iterable[int]], w: int) -> tuple[int, ...]:
-    return tuple(w * v for row in table for v in row)
-
-
 def _finish(instance: VcspInstance, what: str) -> VcspInstance:
     defects = instance.validate()
     if defects:
@@ -111,24 +114,79 @@ def _chain_domains(n: int) -> tuple[DomainSpec, ...]:
     return tuple(TWO_STATE if k % 2 == 1 else THREE_STATE for k in range(1, n + 1))
 
 
+@dataclass(frozen=True)
+class _Position:
+    """A chain position as its constraints read it: its variables, the codes
+    of its main states over them (code -> base state id), its name in labels,
+    and the label suffix of a constraint that closes the chain on it."""
+
+    vars: tuple[int, ...]
+    main: dict[tuple[int, ...], int]
+    name: str
+    pin: str = ""
+
+    def part(self, lo: int, hi: int) -> "_Position":
+        """The same position read through its variables lo..hi-1 only."""
+        main = {code[lo:hi]: s for code, s in self.main.items()}
+        return _Position(self.vars[lo:hi], main, self.name, self.pin)
+
+
+_PHANTOM = _Position((), {(): 0}, "A", "-A")
+
+
+def _state_positions(n: int) -> list[_Position]:
+    """Positions 1..n+1 of a chain with one variable per position."""
+    return [
+        _Position((k,), {(s,): s for s in range(d.size)}, str(k + 1))
+        for k, d in enumerate(_chain_domains(n))
+    ] + [_PHANTOM]
+
+
+def _constraint(
+    domains: Sequence[DomainSpec],
+    scope: tuple[int, ...],
+    entries: dict[tuple[int, ...], int],
+    label: str,
+) -> ValuedConstraint:
+    """Dense row-major constraint from its entries {scope states: value}; every
+    entry not given is 0."""
+    sizes = [domains[v].size for v in scope]
+    values = [0] * math.prod(sizes)
+    for states, value in entries.items():
+        idx = 0
+        for size, s in zip(sizes, states):
+            idx = idx * size + s
+        values[idx] = value
+    return ValuedConstraint(scope, tuple(values), label)
+
+
+def _chain_links(
+    domains: Sequence[DomainSpec], pos: Sequence[_Position], scale: int, mark: str
+) -> list[ValuedConstraint]:
+    """The chain table between each position and the next at `scale` times its
+    weight, zero off the main codes; the last one closes on the phantom."""
+    links = []
+    for k in range(1, len(pos)):
+        stem, w, table = _chain_link(k)
+        a, b = pos[k - 1], pos[k]
+        entries = {
+            ac + bc: scale * w * table[u][v]
+            for ac, u in a.main.items()
+            for bc, v in b.main.items()
+        }
+        label = f"{stem}{mark}@{a.name}-{b.name}"
+        links.append(_constraint(domains, a.vars + b.vars, entries, label))
+    return links
+
+
 def build_2by3(n: int) -> VcspInstance:
     """The alternating 2-state/3-state chain with geometric weights.
 
     Odd positions hold {A, B}; even positions hold {A, B, C} with moves only
-    between A-B and B-C.  Consecutive positions share a weighted chain table,
-    and the last position gets the unary restriction of its off-the-end table
-    with the phantom next position pinned to A.
+    between A-B and B-C.  Consecutive positions share a weighted chain table.
     """
     domains = _chain_domains(n)
-    constraints = []
-    for k in range(1, n):
-        stem, w, table = _chain_link(k)
-        constraints.append(
-            ValuedConstraint((k - 1, k), _scaled(table, w), f"{stem}@{k}-{k + 1}")
-        )
-    stem, w, table = _chain_link(n)
-    pinned = tuple(w * row[0] for row in table)
-    constraints.append(ValuedConstraint((n - 1,), pinned, f"{stem}@{n}-A"))
+    constraints = _chain_links(domains, _state_positions(n), 1, "")
     inst = VcspInstance(domains, tuple(constraints), family="2by3", base_n=n)
     return _finish(inst, f"build_2by3({n})")
 
@@ -188,6 +246,14 @@ class ExpansionMap:
     @property
     def domains(self) -> tuple[DomainSpec, ...]:
         return tuple(d.spec for d in self.doms)
+
+
+# The chain's two base domains, expanded once for every build.
+_EXPANDED = {d: ExpandedDomain.of(d) for d in (TWO_STATE, THREE_STATE)}
+
+
+def _expanded_chain(n: int) -> ExpansionMap:
+    return ExpansionMap(tuple(_EXPANDED[d] for d in _chain_domains(n)))
 
 
 class ExpandedLandscape:
@@ -316,23 +382,6 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
 # -- expanded instance (alternating 3-state and 5-state domains) --------------
 
 
-def _lift_binary(
-    table: Sequence[Sequence[int]],
-    left: ExpandedDomain,
-    right: ExpandedDomain,
-    w: int,
-) -> tuple[int, ...]:
-    """Weighted table on main pairs, zero wherever an index is an intermediate."""
-    out = []
-    for u in range(left.spec.size):
-        for v in range(right.spec.size):
-            if left.is_main(u) and right.is_main(v):
-                out.append(w * table[u][v])
-            else:
-                out.append(0)
-    return tuple(out)
-
-
 def build_3by5(n: int) -> VcspInstance:
     """Expanded chain instance whose fitness equals the padded landscape.
 
@@ -340,96 +389,41 @@ def build_3by5(n: int) -> VcspInstance:
     their base weight.  Each interior position also gets a ternary
     minimisation constraint keyed on its intermediate state(s) plus a small
     unary bonus, so single-intermediate assignments take the padded value
-    exactly.  Boundary constraints are the interior ones with the phantom
-    flank pinned to A.
+    exactly.
     """
-    emap = ExpansionMap(tuple(ExpandedDomain.of(d) for d in _chain_domains(n)))
-    doms = emap.doms
+    emap = _expanded_chain(n)
+    domains = emap.domains
     scale = 2 * n + 1
+    pos = _state_positions(n)
 
-    constraints: list[ValuedConstraint] = []
-    for k in range(1, n):
-        stem, w, table = _chain_link(k)
-        constraints.append(
-            ValuedConstraint(
-                (k - 1, k),
-                _lift_binary(table, doms[k - 1], doms[k], scale * w),
-                f"{stem}^@{k}-{k + 1}",
-            )
-        )
-    stem, w, table = _chain_link(n)
-    dn = doms[n - 1]
-    pinned = tuple(scale * w * table[u][0] if dn.is_main(u) else 0 for u in range(dn.spec.size))
-    constraints.append(ValuedConstraint((n - 1,), pinned, f"{stem}^@{n}-A"))
-
+    constraints = _chain_links(domains, pos, scale, "^")
     for k in range(1, n + 1):
-        bonus = n - k + 1
-        if k % 2 == 1:
-            # 3-state position: one intermediate (id 2), profile ODD_MIN.
-            l = (k - 1) // 2
-            vals = tuple(bonus if s == 2 else 0 for s in range(3))
-            constraints.append(ValuedConstraint((k - 1,), vals, f"U@{k}"))
-            if l < 1:
-                continue
-            wt = scale * (weight_m(l) + 1)
-            left = doms[k - 2]
-            if k < n:
-                right = doms[k]
-                tensor = []
-                for u in range(5):
-                    for v in range(5):
-                        for s in range(3):
-                            ok = s == 2 and left.is_main(u) and right.is_main(v)
-                            tensor.append(wt * ODD_MIN[u][v] if ok else 0)
-                constraints.append(
-                    ValuedConstraint((k - 2, k, k - 1), tuple(tensor), f"T^{l}@{k}")
-                )
-            else:
-                tensor = []
-                for u in range(5):
-                    for s in range(3):
-                        ok = s == 2 and left.is_main(u)
-                        tensor.append(wt * ODD_MIN[u][0] if ok else 0)
-                constraints.append(
-                    ValuedConstraint((k - 2, k - 1), tuple(tensor), f"T^{l}@{k}-A")
-                )
+        # 3-state positions have one intermediate (id 2) with profile ODD_MIN;
+        # 5-state positions have sAB (id 3) and sBC (id 4).
+        odd = k % 2 == 1
+        inter = (2,) if odd else (3, 4)
+        me = pos[k - 1]
+        bonus = {(s,): n - k + 1 for s in inter}
+        constraints.append(_constraint(domains, me.vars, bonus, f"{'U' if odd else 'V'}@{k}"))
+        l = k // 2
+        if l < 1:
+            continue
+        m = weight_m(l)
+        if odd:
+            stem, w, profiles = "T", m + 1, (ODD_MIN,)
         else:
-            # 5-state position: intermediates sAB (id 3) and sBC (id 4).
-            l = k // 2
-            vals = tuple(bonus if s >= 3 else 0 for s in range(5))
-            constraints.append(ValuedConstraint((k - 1,), vals, f"V@{k}"))
-            qt, rt = even_min_ab(weight_m(l)), even_min_bc(weight_m(l))
-            left = doms[k - 2]
-            if k < n:
-                right = doms[k]
-                tensor = []
-                for u in range(3):
-                    for v in range(3):
-                        for s in range(5):
-                            if s < 3 or not (left.is_main(u) and right.is_main(v)):
-                                tensor.append(0)
-                            elif s == 3:
-                                tensor.append(scale * qt[u][v])
-                            else:
-                                tensor.append(scale * rt[u][v])
-                constraints.append(
-                    ValuedConstraint((k - 2, k, k - 1), tuple(tensor), f"S^{l}@{k}")
-                )
-            else:
-                tensor = []
-                for u in range(3):
-                    for s in range(5):
-                        if s < 3 or not left.is_main(u):
-                            tensor.append(0)
-                        elif s == 3:
-                            tensor.append(scale * qt[u][0])
-                        else:
-                            tensor.append(scale * rt[u][0])
-                constraints.append(
-                    ValuedConstraint((k - 2, k - 1), tuple(tensor), f"S^{l}@{k}-A")
-                )
+            stem, w, profiles = "S", 1, (even_min_ab(m), even_min_bc(m))
+        left, right = pos[k - 2], pos[k]
+        entries = {
+            ac + bc + (s,): scale * w * profile[u][v]
+            for s, profile in zip(inter, profiles)
+            for ac, u in left.main.items()
+            for bc, v in right.main.items()
+        }
+        scope = left.vars + right.vars + me.vars
+        constraints.append(_constraint(domains, scope, entries, f"{stem}^{l}@{k}{right.pin}"))
 
-    inst = VcspInstance(emap.domains, tuple(constraints), family="3by5", base_n=n)
+    inst = VcspInstance(domains, tuple(constraints), family="3by5", base_n=n)
     return _finish(inst, f"build_3by5({n})")
 
 
@@ -532,73 +526,12 @@ def _one_two_hot_codes(dom: ExpandedDomain) -> list[tuple[tuple[int, ...], int]]
     return codes
 
 
-def _generic_codec(emap: ExpansionMap) -> BooleanCodec:
-    colls = []
-    offset = 0
-    for dom in emap.doms:
-        codes = _one_two_hot_codes(dom)
-        colls.append(CollectionCodec(dom.n_main, offset, dom.spec.states, tuple(codes)))
-        offset += dom.n_main
-    return BooleanCodec(tuple(colls))
-
-
-def boolean_encode_generic(
-    expanded: VcspInstance, emap: ExpansionMap
-) -> tuple[VcspInstance, BooleanCodec]:
-    """One-hot/two-hot encoding of an expanded instance.
-
-    Each variable becomes as many bits as its base domain had states; moves
-    are single bit flips.  Every constraint is lifted over the bit blocks of
-    its scope, keeping its value on decodable codes and 0 on junk, so arities
-    grow to the sum of the block widths.
-    """
-    codec = _generic_codec(emap)
-    names = []
-    for k, coll in enumerate(codec.collections):
-        for b in range(coll.width):
-            names.append(f"{expanded.var_names[k]}.{b}")
-    domains = tuple(BIT for _ in range(codec.total_bits))
-
-    constraints = []
-    for c in expanded.constraints:
-        colls = [codec.collections[v] for v in c.scope]
-        strides = [1] * len(c.scope)
-        for i in range(len(c.scope) - 2, -1, -1):
-            strides[i] = strides[i + 1] * expanded.domains[c.scope[i + 1]].size
-        scope = tuple(
-            coll.offset + b for coll in colls for b in range(coll.width)
-        )
-        tensor = []
-        for bits in itertools.product((0, 1), repeat=len(scope)):
-            idx = 0
-            pos = 0
-            ok = True
-            for coll, st in zip(colls, strides):
-                sid = coll.decode(bits[pos : pos + coll.width])
-                pos += coll.width
-                if sid is None:
-                    ok = False
-                    break
-                idx += sid * st
-            tensor.append(c.values[idx] if ok else 0)
-        constraints.append(ValuedConstraint(scope, tuple(tensor), c.label))
-
-    inst = VcspInstance(
-        domains,
-        tuple(constraints),
-        family=expanded.family + "-bits",
-        base_n=expanded.base_n,
-        var_names=tuple(names),
-    )
-    return _finish(inst, "boolean_encode_generic"), codec
-
-
 # -- the arity-5 pathwidth-4 Boolean instance ---------------------------------
 
 
 def _pw4_codec(emap: ExpansionMap) -> BooleanCodec:
-    """Like the generic codec, but odd (2-bit) collections accept both 00 and
-    11 for their intermediate state."""
+    """One-hot main and two-hot intermediate codes per collection; odd (2-bit)
+    collections accept both 00 and 11 for their intermediate state."""
     colls = []
     offset = 0
     for dom in emap.doms:
@@ -610,21 +543,8 @@ def _pw4_codec(emap: ExpansionMap) -> BooleanCodec:
     return BooleanCodec(tuple(colls))
 
 
-_EVEN_MAIN = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
-_ODD_MAIN = {(1, 0): 0, (0, 1): 1}
 _EVEN_SIGMA = {(1, 1, 0): "ab", (0, 1, 1): "bc"}
 _DUAL = ((0, 0), (1, 1))
-
-
-def _sparse_tensor(total_bits: int, entries: dict[tuple[int, ...], int]) -> tuple[int, ...]:
-    """Dense row-major bit tensor from its nonzero entries."""
-    values = [0] * (1 << total_bits)
-    for bits, v in entries.items():
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        values[idx] = v
-    return tuple(values)
 
 
 def build_boolean_pw4(
@@ -643,177 +563,99 @@ def build_boolean_pw4(
     flank shortcut from ever paying off.  State-valued tables carry the (2n+1)
     landscape scale; the per-position unary bonuses do not.
     """
-    emap = ExpansionMap(tuple(ExpandedDomain.of(d) for d in _chain_domains(n)))
-    codec = _pw4_codec(emap)
+    codec = _pw4_codec(_expanded_chain(n))
     scale = 2 * n + 1
     penalty = -scale * f_max(n)
-
-    off = [c.offset for c in codec.collections]
-    width = [c.width for c in codec.collections]
-    names = []
-    for k in range(n):
-        for b in range(width[k]):
-            names.append(f"G{k + 1}.{b}")
     domains = tuple(BIT for _ in range(codec.total_bits))
-
-    def block(k: int) -> tuple[int, ...]:
-        return tuple(range(off[k], off[k] + width[k]))
-
-    constraints: list[ValuedConstraint] = []
+    names = tuple(
+        f"G{k + 1}.{b}" for k, c in enumerate(codec.collections) for b in range(c.width)
+    )
+    pos = [
+        _Position(
+            tuple(range(c.offset, c.offset + c.width)),
+            {code: s for code, s in c.codes if s < c.width},
+            f"G{k + 1}",
+        )
+        for k, c in enumerate(codec.collections)
+    ] + [_PHANTOM]
 
     # Lifted chain tables between consecutive collections (zero off the
-    # one-hot main codes), plus the pinned unary at the end of the chain.
-    for k in range(1, n):
-        stem, w, table = _chain_link(k)
-        left_main = _ODD_MAIN if k % 2 == 1 else _EVEN_MAIN
-        right_main = _EVEN_MAIN if k % 2 == 1 else _ODD_MAIN
-        entries = {
-            uc + vc: scale * w * table[u][v]
-            for uc, u in left_main.items()
-            for vc, v in right_main.items()
-        }
-        constraints.append(
-            ValuedConstraint(
-                block(k - 1) + block(k),
-                _sparse_tensor(5, entries),
-                f"{stem}~@G{k}-G{k + 1}",
-            )
-        )
-    stem, w, table = _chain_link(n)
-    last_main = _ODD_MAIN if n % 2 == 1 else _EVEN_MAIN
-    entries = {uc: scale * w * table[u][0] for uc, u in last_main.items()}
-    constraints.append(
-        ValuedConstraint(
-            block(n - 1), _sparse_tensor(width[n - 1], entries), f"{stem}~@G{n}-A"
-        )
-    )
+    # one-hot main codes).
+    constraints = _chain_links(domains, pos, scale, "~")
 
     # Odd positions: unary dual-code bonus and the split minimisation parts.
     for k in range(1, n + 1, 2):
         l = (k - 1) // 2
-        constraints.append(
-            ValuedConstraint(
-                block(k - 1),
-                _sparse_tensor(2, {code: n - k + 1 for code in _DUAL}),
-                f"U~{l}@G{k}",
-            )
-        )
+        left, me, right = pos[k - 2], pos[k - 1], pos[k]
+        bonus = {code: n - k + 1 for code in _DUAL}
+        constraints.append(_constraint(domains, me.vars, bonus, f"U~{l}@{me.name}"))
         if l < 1:
             continue
         wt = scale * (weight_m(l) + 1)
         entries = {
-            uc + code: wt * DUAL_COL[code][u]
-            for uc, u in _EVEN_MAIN.items()
+            ac + code: wt * DUAL_COL[code][u]
+            for ac, u in left.main.items()
             for code in _DUAL
         }
-        constraints.append(
-            ValuedConstraint(
-                block(k - 2) + block(k - 1),
-                _sparse_tensor(5, entries),
-                f"T~{l}-@G{k - 1}-G{k}",
-            )
-        )
-        if k < n:
-            entries = {
-                code + vc: wt * DUAL_ROW[code][v]
-                for code in _DUAL
-                for vc, v in _EVEN_MAIN.items()
-            }
-            constraints.append(
-                ValuedConstraint(
-                    block(k - 1) + block(k),
-                    _sparse_tensor(5, entries),
-                    f"T~{l}+@G{k}-G{k + 1}",
-                )
-            )
-        else:
-            entries = {code: wt * DUAL_ROW[code][0] for code in _DUAL}
-            constraints.append(
-                ValuedConstraint(
-                    block(k - 1), _sparse_tensor(2, entries), f"T~{l}+@G{k}-A"
-                )
-            )
+        label = f"T~{l}-@{left.name}-{me.name}"
+        constraints.append(_constraint(domains, left.vars + me.vars, entries, label))
+        entries = {
+            code + bc: wt * DUAL_ROW[code][v]
+            for code in _DUAL
+            for bc, v in right.main.items()
+        }
+        label = f"T~{l}+@{me.name}-{right.name}"
+        constraints.append(_constraint(domains, me.vars + right.vars, entries, label))
 
     # Even positions: unary intermediate bonus and the flank-bit minimisation
     # constraint.  The left flank is the second bit of the previous collection
     # (0 reads A, 1 reads B); the right flank is the first bit of the next
     # collection (1 reads A, 0 reads B), so consecutive scopes stay disjoint.
+    flank_scopes = {}
     for k in range(2, n + 1, 2):
         l = k // 2
-        constraints.append(
-            ValuedConstraint(
-                block(k - 1),
-                _sparse_tensor(3, {code: n - k + 1 for code in _EVEN_SIGMA}),
-                f"V~{l}@G{k}",
-            )
-        )
+        left, me, right = pos[k - 2].part(1, 2), pos[k - 1], pos[k].part(0, 1)
+        bonus = {code: n - k + 1 for code in _EVEN_SIGMA}
+        constraints.append(_constraint(domains, me.vars, bonus, f"V~{l}@{me.name}"))
         profile = {"ab": even_min_ab(weight_m(l)), "bc": even_min_bc(weight_m(l))}
-        left_flank = off[k - 2] + 1
-        if k < n:
-            entries = {
-                (a,) + code + (b,): scale * profile[kind][a][0 if b else 1]
-                for code, kind in _EVEN_SIGMA.items()
-                for a in (0, 1)
-                for b in (0, 1)
-            }
-            constraints.append(
-                ValuedConstraint(
-                    (left_flank,) + block(k - 1) + (off[k],),
-                    _sparse_tensor(5, entries),
-                    f"S~{l}@G{k}",
-                )
-            )
-        else:
-            entries = {
-                (a,) + code: scale * profile[kind][a][0]
-                for code, kind in _EVEN_SIGMA.items()
-                for a in (0, 1)
-            }
-            constraints.append(
-                ValuedConstraint(
-                    (left_flank,) + block(k - 1),
-                    _sparse_tensor(4, entries),
-                    f"S~{l}@G{k}-A",
-                )
-            )
+        entries = {
+            ac + code + bc: scale * profile[kind][u][v]
+            for code, kind in _EVEN_SIGMA.items()
+            for ac, u in left.main.items()
+            for bc, v in right.main.items()
+        }
+        scope = flank_scopes[k] = left.vars + me.vars + right.vars
+        constraints.append(_constraint(domains, scope, entries, f"S~{l}@{me.name}{right.pin}"))
 
     # Adjacent-intermediate penalty on every consecutive collection pair; the
     # two orientations share their tensors.
-    j_odd_even = _sparse_tensor(
-        5, {code + ec: penalty for code in _DUAL for ec in _EVEN_SIGMA}
-    )
-    j_even_odd = _sparse_tensor(
-        5, {ec + code: penalty for ec in _EVEN_SIGMA for code in _DUAL}
-    )
+    inter = {1: _DUAL, 0: tuple(_EVEN_SIGMA)}
+    penalties: dict[int, tuple[int, ...]] = {}
     for k in range(1, n):
-        tensor = j_odd_even if k % 2 == 1 else j_even_odd
-        constraints.append(
-            ValuedConstraint(
-                block(k - 1) + block(k), tensor, f"J~@G{k}G{k + 1}"
-            )
-        )
+        a, b = pos[k - 1], pos[k]
+        if k % 2 not in penalties:
+            entries = {ac + bc: penalty for ac in inter[k % 2] for bc in inter[1 - k % 2]}
+            penalties[k % 2] = _constraint(domains, a.vars + b.vars, entries, "").values
+        label = f"J~@{a.name}{b.name}"
+        constraints.append(ValuedConstraint(a.vars + b.vars, penalties[k % 2], label))
 
     inst = VcspInstance(
         domains,
         tuple(constraints),
         family="bool-pw4",
         base_n=n,
-        var_names=tuple(names),
+        var_names=names,
     )
     inst = _finish(inst, f"build_boolean_pw4({n})")
 
-    # Canonical decomposition: chain-table scopes and flank-constraint scopes
-    # in path order; every bag has at most 5 bits.
+    # Canonical decomposition: the scopes of consecutive collection pairs in
+    # path order, each even position's flank scope right after the pair that
+    # ends on it; every bag has at most 5 bits.
     bags: list[frozenset[int]] = []
-    for l in range(1, n // 2 + 1):
-        k = 2 * l
-        bags.append(frozenset(block(k - 2) + block(k - 1)))
-        s_scope = (off[k - 2] + 1,) + block(k - 1)
-        if k < n:
-            s_scope += (off[k],)
-        bags.append(frozenset(s_scope))
-        if k < n:
-            bags.append(frozenset(block(k - 1) + block(k)))
+    for k in range(1, n):
+        bags.append(frozenset(pos[k - 1].vars + pos[k].vars))
+        if k % 2 == 1:
+            bags.append(frozenset(flank_scopes[k + 1]))
     decomp = PathDecomposition(tuple(bags))
 
     start = codec.encode(tuple(0 for _ in range(n)))

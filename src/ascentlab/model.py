@@ -445,8 +445,16 @@ def save_instance(instance: VcspInstance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(instance_to_json(instance)), encoding="utf-8")
 
 
+def read_json(path: str | Path):
+    """The JSON document in a file; one nested too deeply raises BuildError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise BuildError(f"{path}: JSON nested too deeply") from None
+
+
 def load_instance(path: str | Path) -> VcspInstance:
-    return instance_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return instance_from_json(read_json(path))
 
 
 def decomposition_to_json(d: PathDecomposition) -> dict:

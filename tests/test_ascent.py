@@ -16,6 +16,7 @@ import pytest
 import ascentlab
 from ascentlab import (
     DomainSpec,
+    InvalidAssignmentError,
     ValuedConstraint,
     VcspInstance,
     build_2by3,
@@ -148,6 +149,18 @@ def test_verify_ordered_rejects_steepest_trace():
     inst = build_2by3(2)
     bad = verify_ordered(inst, steepest_ascent(inst, (A, A)))
     assert bad is not None and bad.step == 0 and bad.witness[0] == 0
+
+
+@pytest.mark.parametrize("order", [(0,), (2, 1, 0, 5), (0, 0, 1, 2), (0, 1, 2, 3, 4)])
+def test_verify_ordered_rejects_an_order_that_is_no_permutation(order):
+    inst = build_2by3(4)
+    trace = ordered_ascent(inst, (A,) * 4)
+    for check in (
+        lambda: verify_ordered(inst, trace, order),
+        lambda: ordered_ascent(inst, (A,) * 4, order=order),
+    ):
+        with pytest.raises(InvalidAssignmentError, match="order must be a permutation"):
+            check()
 
 
 def test_single_variable_ascents_are_ordered():

@@ -1,4 +1,5 @@
-"""Boolean encodings: the generic one-hot/two-hot lift and the arity-5 instance."""
+"""The arity-5, pathwidth-4 Boolean instance: its codes, printed tables,
+width, master invariant and decoded walk."""
 
 from __future__ import annotations
 
@@ -7,9 +8,7 @@ import itertools
 import pytest
 
 from ascentlab import (
-    boolean_encode_generic,
     build_2by3,
-    build_3by5,
     build_boolean_pw4,
     check_path_decomposition,
     decode_assignment,
@@ -19,7 +18,7 @@ from ascentlab import (
     simulate_ascent,
     steepest_ascent,
 )
-from ascentlab.constructions import ExpansionMap, pw4_equivalence_violation
+from ascentlab.constructions import pw4_equivalence_violation
 
 A, B, C = 0, 1, 2
 
@@ -33,52 +32,6 @@ def bitval(constraint, bits):
 
 def by_label(instance):
     return {c.label: c for c in instance.constraints}
-
-
-# -- generic encoding -----------------------------------------------------------
-
-
-def test_generic_codes():
-    emap = ExpansionMap.of(build_2by3(2))
-    _, codec = boolean_encode_generic(build_3by5(2), emap)
-    odd, even = codec.collections
-    assert odd.encode(A) == (1, 0) and odd.encode(B) == (0, 1)
-    assert odd.encode(2) == (1, 1)  # the intermediate, two-hot
-    assert even.encode(A) == (1, 0, 0)
-    assert even.encode(3) == (1, 1, 0) and even.encode(4) == (0, 1, 1)
-    assert even.decode((1, 0, 1)) is None  # no A-C intermediate exists
-    assert even.decode((0, 0, 0)) is None and even.decode((1, 1, 1)) is None
-    assert odd.decode((0, 0)) is None  # no dual coding in the generic lift
-
-
-def test_generic_decode_encode_round_trip():
-    exp = build_3by5(2)
-    emap = ExpansionMap.of(build_2by3(2))
-    binst, codec = boolean_encode_generic(exp, emap)
-    for x in exp.all_assignments():
-        bits = codec.encode(x)
-        assert tuple(codec.decode_states(bits)) == x
-        assert binst.fitness(bits) == exp.fitness(x)
-
-
-def test_generic_lift_arities():
-    exp = build_3by5(4)
-    emap = ExpansionMap.of(build_2by3(4))
-    binst, _ = boolean_encode_generic(exp, emap)
-    arities = {c.label: c.arity for c in binst.constraints}
-    assert arities["S^1@2"] == 7  # 2 + 3 + 2
-    assert arities["T^1@3"] == 8  # 3 + 2 + 3
-    assert max(arities.values()) == 8
-
-
-def test_generic_lift_is_zero_on_junk():
-    exp = build_3by5(2)
-    emap = ExpansionMap.of(build_2by3(2))
-    binst, codec = boolean_encode_generic(exp, emap)
-    chain = by_label(binst)["M1^@1-2"]
-    junk = (1, 1) + (1, 0, 1)  # right block decodes to nothing
-    assert bitval(chain, junk) == 0
-    assert binst.fitness((1, 0, 1, 0, 1)) == 0
 
 
 # -- the arity-5 instance: codes and printed tables ------------------------------

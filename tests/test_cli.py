@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ascentlab
 from ascentlab import build_2by3, f_max, instance_to_json, load_instance
 from ascentlab.cli import main
 from ascentlab.verification import brute_force_extremes
@@ -135,12 +141,11 @@ MALFORMED_INPUTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "flag,document", list(MALFORMED_INPUTS.values()), ids=list(MALFORMED_INPUTS)
-)
-def test_malformed_input_files_exit_2(tmp_path, capsys, flag, document):
+def _ascend_on_file(tmp_path, capsys, flag, text):
+    """`ascend` with `text` as its instance file or as the start file of the
+    2by3 n=2 instance; the usage error it must end in is asserted."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(document))
+    path.write_text(text)
     if flag == "--instance":
         source = ["--instance", str(path)]
     else:
@@ -148,6 +153,41 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, flag, document):
     code, out, err = run(capsys, "ascend", *source)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag,document", list(MALFORMED_INPUTS.values()), ids=list(MALFORMED_INPUTS)
+)
+def test_malformed_input_files_exit_2(tmp_path, capsys, flag, document):
+    _ascend_on_file(tmp_path, capsys, flag, json.dumps(document))
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--start"])
+def test_deeply_nested_input_files_exit_2(tmp_path, capsys, flag):
+    _ascend_on_file(tmp_path, capsys, flag, "[" * 100_000 + "]" * 100_000)
+
+
+def test_oversized_meta_n_exits_2_before_building_a_start(tmp_path):
+    # A start of 10^9 states would exhaust memory, so the run gets a capped
+    # address space: a CLI that builds the start fails fast instead.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_edited("meta", "n", to=10**9)))
+    cap = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = Path(ascentlab.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "ascentlab.cli", "ascend", "--instance", str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: meta.n") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("cap", ["pathwidth=-3", "pathwidth=1", "boolean-equiv=0", "1"])

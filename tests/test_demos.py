@@ -1,0 +1,38 @@
+"""The demos run to completion against the public API.
+
+Each runs in a fresh interpreter, as a reader would run it.  The first demo
+is left out: its n=40 walk takes about ten seconds and repeats the
+exponential-scaling acceptance test.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ascentlab
+
+SRC = Path(ascentlab.__file__).resolve().parents[1]
+DEMOS = SRC.parent / "demos"
+QUICK_DEMOS = (
+    "02_steepest_simulation.py",
+    "03_boolean_pathwidth_four.py",
+    "04_no_additive_split.py",
+)
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_demo_runs(name):
+    done = subprocess.run(
+        [sys.executable, str(DEMOS / name)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

@@ -1,0 +1,53 @@
+"""The builders' output, pinned byte for byte.
+
+Each digest is the sha256 of the JSON the builder's output serialises to:
+the instance document for `2by3` and `3by5`; for `bool-pw4` the instance,
+codec and decomposition documents and the start, as one JSON list.  Any
+change to a label, a scope, a table entry or the constraint order shows.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from ascentlab import build_2by3, build_3by5, build_boolean_pw4, instance_to_json
+from ascentlab.model import decomposition_to_json
+
+DIGESTS = {
+    ("2by3", 2): "b478bbfe3ef18c4dcc1886eb3832aa81cd5505a3ca683f417d1975e538ce7917",
+    ("2by3", 3): "b27165aa2fff0aa1c74d980c21b58954be1153fe551472091b1cf2a7b494ed2b",
+    ("2by3", 4): "0f0daa3e5c807abee0ae644c2c46b1032ba339b942849a2786dc32c130faea9e",
+    ("2by3", 5): "06950dfab807b78c274547365dcacaaad5281574194be4eaff00c062b7face96",
+    ("2by3", 8): "e0c593aad61f83b162e1746d2a4d180532f8cffd62b12b107766895865edb66c",
+    ("2by3", 13): "87666d4f66433cc29dce49bacd5e3268c13cac1657fcc78f562aaad46955ca93",
+    ("3by5", 2): "c30876f09d137cc9a71c3fc0c1c6edfbd9bc4479498d734595bd71620ad8cfcb",
+    ("3by5", 3): "ef41714fdaa7dd87bb9972027b7cc8d3662136bd0d4227b868cffae59d2b2336",
+    ("3by5", 4): "2b1cfedcb94ed230ac5441b28a7f35b7572d42f3d698883299522fb6fc50021c",
+    ("3by5", 5): "0b15a4c2651ae8a2a121e7c957c88951c8406e9760852cd56d283ae0ca40c714",
+    ("3by5", 8): "24db6b157f9e6cb1f8e37df7140bdfcce0f0e2ef19b9b73a1b84878e07489dbf",
+    ("3by5", 13): "3aeecc25f3c37432817abc3071df014dcedbf78db3896630fbf83c56849e7d99",
+    ("bool-pw4", 2): "a291da0e354be0d23676e12920b2ddd7a515bfef4044d9388b29479746dca087",
+    ("bool-pw4", 3): "9e7ae6dc7ff4e3534d9cdaff638aaeb1be241201fafd360fab625b439ab5a843",
+    ("bool-pw4", 4): "5a19adc9d6ec36fe95198b0172ef8d99208436104acd1710ab7279d33b146cfe",
+    ("bool-pw4", 5): "335248ca1672e6ad1fa1b86ed05e83319da9a25598bdeca853ef8522dc1763ed",
+    ("bool-pw4", 8): "cb3323e90298c6f2fa5d82ac551934950e63d3ba8a171709519c808f827c8d8c",
+    ("bool-pw4", 13): "ba05a122995835e9e8f04cfadb7d3fdbe8769ff9f3501736936ba48fdb110f06",
+}
+
+
+def _document(family: str, n: int):
+    if family == "2by3":
+        return instance_to_json(build_2by3(n))
+    if family == "3by5":
+        return instance_to_json(build_3by5(n))
+    inst, codec, decomp, start = build_boolean_pw4(n)
+    return [instance_to_json(inst), codec.to_json(), decomposition_to_json(decomp), list(start)]
+
+
+@pytest.mark.parametrize("family,n", list(DIGESTS), ids=[f"{f}-{n}" for f, n in DIGESTS])
+def test_builder_output_is_pinned(family, n):
+    text = json.dumps(_document(family, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[family, n]

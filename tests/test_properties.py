@@ -1,8 +1,9 @@
-"""Differential property tests: the engines against the from-scratch checkers
-on random small VCSPs."""
+"""Property tests on random small VCSPs: the engines against the from-scratch
+checkers, and the JSON round trip."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -15,6 +16,8 @@ from ascentlab import (
     VcspInstance,
     exhaustive_steepest_oracle,
     first_improvement_ascent,
+    instance_from_json,
+    instance_to_json,
     ordered_ascent,
     steepest_ascent,
     verify_ordered,
@@ -139,3 +142,10 @@ def test_summary_mode_and_step_limits_agree_with_the_full_walk(case):
             getattr(full, f) for f in SUMMARY_FIELDS
         ]
         assert _is_prefix(run(step_limit=limit), full, limit)
+
+
+@PROPERTY
+@given(cases())
+def test_json_round_trip_gives_back_the_instance(case):
+    inst = case[0]
+    assert instance_from_json(json.loads(json.dumps(instance_to_json(inst)))) == inst
