@@ -278,15 +278,17 @@ class ExpandedLandscape:
         self.n_vars = n
         self.scale = 2 * n + 1
         self.domains = self.emap.domains
+        self._sizes = tuple(d.size for d in self.domains)
+        self._n_main = tuple(d.n_main for d in self.emap.doms)
         # bonus[k] = n - (1-based rank of k in the order) + 1
         rank = {k: i for i, k in enumerate(self.order)}
         self.bonus = tuple(n - rank[k] for k in range(n))
 
     def check_assignment(self, x: Sequence[int]) -> None:
-        check_assignment_against(self.domains, x)
+        check_assignment_against(self._sizes, x)
 
     def _intermediates(self, x: Sequence[int]) -> list[int]:
-        return [k for k in range(self.n_vars) if not self.emap.doms[k].is_main(x[k])]
+        return [k for k, (s, n_main) in enumerate(zip(x, self._n_main)) if s >= n_main]
 
     def _min_completion(self, x: Sequence[int], inter: list[int]) -> int:
         """Smallest base fitness over every way of replacing each intermediate
@@ -514,31 +516,36 @@ def decode_assignment(codec: BooleanCodec, bits: Sequence[int]) -> list[tuple[st
     return out
 
 
-def _one_two_hot_codes(dom: ExpandedDomain) -> list[tuple[tuple[int, ...], int]]:
+# -- the arity-5 pathwidth-4 Boolean instance ---------------------------------
+
+
+def _pw4_codes(dom: ExpandedDomain) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One-hot main and two-hot intermediate codes; an odd (2-bit) collection
+    accepts both 00 and 11 for its intermediate state."""
     width = dom.n_main
     codes = []
-    for u in range(dom.n_main):
+    for u in range(width):
         code = tuple(1 if i == u else 0 for i in range(width))
         codes.append((code, u))
     for i, (u, v) in enumerate(dom.pairs):
         code = tuple(1 if j in (u, v) else 0 for j in range(width))
-        codes.append((code, dom.n_main + i))
-    return codes
+        codes.append((code, width + i))
+    if width == 2:
+        codes.append(((0, 0), width))
+    return tuple(codes)
 
 
-# -- the arity-5 pathwidth-4 Boolean instance ---------------------------------
+# The codes of each expanded chain domain, keyed by its base domain.
+_PW4_CODES = {d: _pw4_codes(e) for d, e in _EXPANDED.items()}
 
 
 def _pw4_codec(emap: ExpansionMap) -> BooleanCodec:
-    """One-hot main and two-hot intermediate codes per collection; odd (2-bit)
-    collections accept both 00 and 11 for their intermediate state."""
+    """One collection of `_pw4_codes` per expanded chain domain."""
     colls = []
     offset = 0
     for dom in emap.doms:
-        codes = _one_two_hot_codes(dom)
-        if dom.n_main == 2:
-            codes.append(((0, 0), dom.n_main))
-        colls.append(CollectionCodec(dom.n_main, offset, dom.spec.states, tuple(codes)))
+        codes = _PW4_CODES[dom.base]
+        colls.append(CollectionCodec(dom.n_main, offset, dom.spec.states, codes))
         offset += dom.n_main
     return BooleanCodec(tuple(colls))
 

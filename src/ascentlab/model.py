@@ -10,7 +10,8 @@ so values never wrap and no instance is too large to evaluate exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -41,10 +42,12 @@ class DomainSpec:
 
     states: tuple[str, ...]
     transitions: frozenset[tuple[int, int]] = frozenset()
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         states = tuple(str(s) for s in self.states)
         size = len(states)
+        object.__setattr__(self, "size", size)
         pairs: set[tuple[int, int]] = set()
         for pair in self.transitions:
             u, v = pair
@@ -60,10 +63,6 @@ class DomainSpec:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adjacent", tuple(tuple(sorted(a)) for a in adj))
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
 
     def adjacent(self, state: int) -> tuple[int, ...]:
         """States reachable from `state` in one move, ascending."""
@@ -94,16 +93,19 @@ class ValuedConstraint:
         return len(self.scope)
 
 
-def check_assignment_against(domains: Sequence[DomainSpec], x: Sequence[int]) -> None:
-    """Raise InvalidAssignmentError unless x is a valid assignment."""
-    if len(x) != len(domains):
+def check_assignment_against(sizes: Sequence[int], x: Sequence[int]) -> None:
+    """Raise InvalidAssignmentError unless x is a valid assignment for domains
+    of the given sizes."""
+    if len(x) == len(sizes) and all(0 <= s < m for s, m in zip(x, sizes)):
+        return
+    if len(x) != len(sizes):
         raise InvalidAssignmentError(
-            f"assignment has length {len(x)}, expected {len(domains)}"
+            f"assignment has length {len(x)}, expected {len(sizes)}"
         )
-    for k, (s, dom) in enumerate(zip(x, domains)):
-        if not (0 <= s < dom.size):
+    for k, (s, m) in enumerate(zip(x, sizes)):
+        if not (0 <= s < m):
             raise InvalidAssignmentError(
-                f"state {s} out of range for variable {k} ({dom.size} states)"
+                f"state {s} out of range for variable {k} ({m} states)"
             )
 
 
@@ -116,13 +118,20 @@ def neighbors_of(domains: Sequence[DomainSpec], x: Sequence[int]) -> list[tuple[
     return out
 
 
+# (variable, row-major stride) per scope entry of a constraint.
+_Strides = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class VcspInstance:
     """Immutable VCSP instance: domains, constraints, and family metadata.
 
-    Construction computes evaluation caches but performs only shallow checks;
-    `validate()` reports structural defects without raising, and builders are
-    expected to reject defective instances at build time.
+    Construction performs only shallow checks and builds no evaluation
+    tables: each table is built from the constraints on first evaluation and
+    kept for the instance's lifetime, so an instance that is only built,
+    validated or decomposed never pays for them.  `validate()` reports
+    structural defects without raising, and builders are expected to reject
+    defective instances at build time.
     """
 
     domains: tuple[DomainSpec, ...]
@@ -133,36 +142,46 @@ class VcspInstance:
 
     def __post_init__(self) -> None:
         domains = tuple(self.domains)
-        constraints = tuple(self.constraints)
         object.__setattr__(self, "domains", domains)
-        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "constraints", tuple(self.constraints))
         names = tuple(self.var_names) or tuple(f"x{i + 1}" for i in range(len(domains)))
         object.__setattr__(self, "var_names", names)
+        object.__setattr__(self, "_sizes", tuple(d.size for d in domains))
 
-        sizes = tuple(d.size for d in domains)
-        object.__setattr__(self, "_sizes", sizes)
+    # -- evaluation tables, built on first use -------------------------------
 
-        strides: list[tuple[int, ...]] = []
-        for c in constraints:
-            st = [1] * len(c.scope)
-            for i in range(len(c.scope) - 2, -1, -1):
-                var = c.scope[i + 1]
-                size = sizes[var] if 0 <= var < len(sizes) else 1
-                st[i] = st[i + 1] * size
-            strides.append(tuple(st))
-        object.__setattr__(self, "_strides", tuple(strides))
+    @cached_property
+    def _fitness_terms(self) -> tuple[tuple[_Strides, tuple[int, ...]], ...]:
+        """Per constraint: its (var, row-major stride) pairs and its values."""
+        sizes = self.sizes
+        terms = []
+        for c in self.constraints:
+            pairs = []
+            stride = 1
+            for var in reversed(c.scope):
+                pairs.append((var, stride))
+                stride *= sizes[var]
+            terms.append((tuple(reversed(pairs)), c.values))
+        return tuple(terms)
 
-        per_var: list[list[int]] = [[] for _ in range(len(domains))]
-        nbrs: list[set[int]] = [set() for _ in range(len(domains))]
-        for ci, c in enumerate(constraints):
-            in_range = [v for v in c.scope if 0 <= v < len(domains)]
-            for v in in_range:
-                per_var[v].append(ci)
-                for w in in_range:
-                    if w != v:
-                        nbrs[v].add(w)
-        object.__setattr__(self, "_var_constraints", tuple(tuple(v) for v in per_var))
-        object.__setattr__(self, "_var_neighbors", tuple(tuple(sorted(s)) for s in nbrs))
+    @cached_property
+    def _delta_terms(self) -> tuple[tuple[tuple[tuple[int, ...], int, _Strides], ...], ...]:
+        """Per variable k, per constraint on k: (values, k's stride, the
+        (var, stride) pairs of the rest of the scope)."""
+        per_var: list[list] = [[] for _ in self.domains]
+        for pairs, values in self._fitness_terms:
+            for var, stride in pairs:
+                rest = tuple(p for p in pairs if p[0] != var)
+                per_var[var].append((values, stride, rest))
+        return tuple(tuple(terms) for terms in per_var)
+
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per variable, the variables sharing a constraint with it, ascending."""
+        return tuple(
+            tuple(sorted({var for _, _, rest in terms for var, _ in rest}))
+            for terms in self._delta_terms
+        )
 
     @property
     def n_vars(self) -> int:
@@ -178,7 +197,7 @@ class VcspInstance:
 
     def var_neighbors(self, k: int) -> tuple[int, ...]:
         """Variables sharing at least one constraint with k."""
-        return self._var_neighbors[k]  # type: ignore[attr-defined]
+        return self._neighbors[k]
 
     # -- validation ---------------------------------------------------------
 
@@ -207,7 +226,7 @@ class VcspInstance:
         return defects
 
     def check_assignment(self, x: Sequence[int]) -> None:
-        check_assignment_against(self.domains, x)
+        check_assignment_against(self._sizes, x)  # type: ignore[attr-defined]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -215,11 +234,11 @@ class VcspInstance:
         """Sum of all constraint values selected by x."""
         self.check_assignment(x)
         total = 0
-        for c, strides in zip(self.constraints, self._strides):  # type: ignore[attr-defined]
+        for pairs, values in self._fitness_terms:
             idx = 0
-            for var, st in zip(c.scope, strides):
+            for var, st in pairs:
                 idx += x[var] * st
-            total += c.values[idx]
+            total += values[idx]
         return total
 
     def _delta(self, x: Sequence[int], k: int, s: int, v: int) -> int:
@@ -227,17 +246,11 @@ class VcspInstance:
         if v == s:
             return 0
         d = 0
-        for ci in self._var_constraints[k]:  # type: ignore[attr-defined]
-            c = self.constraints[ci]
-            strides = self._strides[ci]  # type: ignore[attr-defined]
+        for values, stk, rest in self._delta_terms[k]:
             base = 0
-            stk = 0
-            for var, st in zip(c.scope, strides):
-                if var == k:
-                    stk = st
-                else:
-                    base += x[var] * st
-            d += c.values[base + v * stk] - c.values[base + s * stk]
+            for var, st in rest:
+                base += x[var] * st
+            d += values[base + v * stk] - values[base + s * stk]
         return d
 
     def delta_fitness(self, x: Sequence[int], k: int, v: int) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import pytest
 
@@ -50,6 +51,13 @@ def test_domain_rejects_self_loops_and_out_of_range():
         DomainSpec(("A", "B"), frozenset({(0, 2)}))
 
 
+def test_domain_size_stays_out_of_equality_hash_and_repr():
+    d = DomainSpec(("A", "B"), frozenset({(1, 0)}))
+    same = DomainSpec(("A", "B"), frozenset({(0, 1)}))
+    assert d.size == 2 and d == same and hash(d) == hash(same)
+    assert repr(d) == "DomainSpec(states=('A', 'B'), transitions=frozenset({(0, 1)}))"
+
+
 def test_frozen_domain_is_legal():
     d = DomainSpec(("A", "B"))
     assert d.transitions == frozenset()
@@ -71,10 +79,16 @@ def test_fitness_empty_sum():
 
 def test_fitness_rejects_invalid_assignments():
     inst = build_2by3(2)
-    with pytest.raises(InvalidAssignmentError):
+    with pytest.raises(InvalidAssignmentError, match="assignment has length 1, expected 2"):
         inst.fitness((A,))
-    with pytest.raises(InvalidAssignmentError):
+    with pytest.raises(
+        InvalidAssignmentError, match=r"state 2 out of range for variable 0 \(2 states\)"
+    ):
         inst.fitness((2, 0))
+    with pytest.raises(
+        InvalidAssignmentError, match=r"state -1 out of range for variable 1 \(3 states\)"
+    ):
+        inst.fitness((A, -1))
 
 
 # -- delta evaluation ------------------------------------------------------------
@@ -183,6 +197,26 @@ def test_validate_reports_unknown_scope_variable():
     doms = (DomainSpec(("A", "B"), frozenset({(0, 1)})),)
     inst = VcspInstance(doms, (ValuedConstraint((1,), (0, 0), "oops"),))
     assert any("unknown variable" in d for d in inst.validate())
+
+
+def _built_tables(inst: VcspInstance) -> set[str]:
+    """The names of the instance's evaluation tables that have been built."""
+    tables = {
+        name for name, attr in vars(VcspInstance).items() if isinstance(attr, cached_property)
+    }
+    assert tables
+    return tables & set(vars(inst))
+
+
+def test_evaluation_tables_are_built_on_first_evaluation_only():
+    defective = VcspInstance(empty_instance(1).domains, (ValuedConstraint((1,), (0, 0)),))
+    assert defective.validate() and not _built_tables(defective)
+    inst, _, decomp, start = build_boolean_pw4(6)
+    assert check_path_decomposition(inst, decomp).ok
+    assert not _built_tables(inst)
+    assert inst.fitness(start) == 0
+    assert not inst.is_local_solution(start) and inst.var_neighbors(0)
+    assert _built_tables(inst) == {"_fitness_terms", "_delta_terms", "_neighbors"}
 
 
 # -- path decompositions ---------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Property tests on random small VCSPs: the engines against the from-scratch
-checkers, and the JSON round trip."""
+checkers, delta evaluation against full fitness, and the JSON round trip."""
 
 from __future__ import annotations
 
@@ -142,6 +142,18 @@ def test_summary_mode_and_step_limits_agree_with_the_full_walk(case):
             getattr(full, f) for f in SUMMARY_FIELDS
         ]
         assert _is_prefix(run(step_limit=limit), full, limit)
+
+
+@PROPERTY
+@given(cases())
+def test_delta_equals_the_full_fitness_difference(case):
+    inst, x, _, _ = case
+    f = inst.fitness(x)
+    for k in range(inst.n_vars):
+        for v in range(inst.sizes[k]):
+            y = list(x)
+            y[k] = v
+            assert inst._delta(x, k, x[k], v) == inst.fitness(y) - f
 
 
 @PROPERTY
