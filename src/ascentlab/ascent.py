@@ -14,9 +14,11 @@ it under an incrementally updated key over those states: ordered ascent makes
 one lookup per scan position, and steepest ascent caches one entry per
 variable and refreshes only the moved variable and its blanket.  Landscapes
 without `var_neighbors` get every entry straight from `_delta`, and steepest
-rescans every variable.  First-improvement ascent calls `_delta` directly.
-The verifiers re-derive everything from scratch with full fitness
-evaluations so they catch delta and memo bugs.
+rescans every variable.  First-improvement ascent calls `_delta` directly,
+one move at a time: it keeps each variable's permitted moves, rebuilds only
+the moved variable's list, and draws its random scan order lazily, so a step
+pays only for the moves it tests.  The verifiers re-derive everything from
+scratch with full fitness evaluations so they catch delta and memo bugs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Sequence
 
 from .model import InvalidAssignmentError
@@ -182,21 +185,29 @@ class _Blankets:
             return best_gain, best_t, n_best, improving
 
         self.scan = scan
-        self.keys = [0] * n
-        self.deps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        deps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.deps = deps
         get_nbrs = getattr(landscape, "var_neighbors", None)
         if not callable(get_nbrs):
+            self.keys = [0] * n
             self.touched = [range(n)] * n
             self.memos = [_NoMemo()] * n
             return
         sizes = [d.size for d in landscape.domains]
-        for k in range(n):
-            w = 1
-            for j in (k,) + tuple(get_nbrs(k)):
-                self.deps[j].append((k, w))
-                self.keys[k] += x[j] * w
+        touched: list[list[int]] = [[] for _ in range(n)]
+        keys = []
+        for k, s in enumerate(x):
+            deps[k].append((k, 1))
+            touched[k].append(k)
+            w = sizes[k]
+            for j in get_nbrs(k):
+                deps[j].append((k, w))
+                touched[j].append(k)
+                s += x[j] * w
                 w *= sizes[j]
-        self.touched = [tuple(d for d, _ in dep) for dep in self.deps]
+            keys.append(s)
+        self.keys = keys
+        self.touched = touched
         self.memos = [{} for _ in range(n)]
 
 
@@ -258,13 +269,20 @@ def _checked_order(n: int, order: Sequence[int] | None) -> tuple[int, ...]:
 def _order_positions(landscape, order: Sequence[int] | None) -> tuple[tuple[int, ...], list[int]]:
     n = len(landscape.domains)
     order = _checked_order(n, order)
-    pos = {k: i for i, k in enumerate(order)}
     # After moving k, only variables sharing a constraint with k can change
     # their improving status, so the scan may resume at the earliest of their
     # order positions.  Landscapes without constraint structure rescan fully.
     get_nbrs = getattr(landscape, "var_neighbors", None)
     if callable(get_nbrs):
-        back = [min([pos[k]] + [pos[j] for j in get_nbrs(k)]) for k in range(n)]
+        pos = [0] * n
+        for i, k in enumerate(order):
+            pos[k] = i
+        back = []
+        for k, p in enumerate(pos):
+            for j in get_nbrs(k):
+                if pos[j] < p:
+                    p = pos[j]
+            back.append(p)
     else:
         back = [0] * n
     return order, back
@@ -312,17 +330,24 @@ def ordered_ascent(
 
 
 def _first_moves(landscape, x: list[int], seed: int):
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     delta = landscape._delta
-    domains = landscape.domains
-    n = len(domains)
+    adjacent = [d.adjacent for d in landscape.domains]
+    # Each variable's permitted moves; only the moved variable's list changes.
+    per_var = [[(k, t) for t in adj(s)] for k, (adj, s) in enumerate(zip(adjacent, x))]
     while True:
-        moves = [(k, t) for k in range(n) for t in domains[k].adjacent(x[k])]
-        rng.shuffle(moves)
-        for k, t in moves:
+        moves = list(chain.from_iterable(per_var))
+        m = len(moves)
+        # A partial Fisher-Yates shuffle that draws one position at a time and
+        # stops at the first improving move.
+        for i in range(m):
+            j = randrange(i, m)
+            k, t = moves[j]
+            moves[j] = moves[i]
             g = delta(x, k, x[k], t)
             if g > 0:
                 yield k, t, g, False, False
+                per_var[k] = [(k, u) for u in adjacent[k](t)]
                 break
         else:
             return
@@ -335,7 +360,16 @@ def first_improvement_ascent(
     seed: int = 0,
     record_steps: bool = True,
 ) -> AscentTrace:
-    """Take the first improving move found in a seeded random scan."""
+    """Take the first improving move found in a seeded random scan.
+
+    Each step scans the permitted moves, listed ascending by (variable,
+    state), in a uniformly random order: a Fisher-Yates shuffle drawn from
+    `random.Random(seed)` one position at a time, `randrange(i, m)` for the
+    i-th move tested out of m, and stopped at the first improving move.  The
+    walk stops at a local solution, where all m moves have been tested.  The
+    same seed always gives the same walk; because the draw stops early, the
+    walk differs from one that shuffles the whole list before scanning it.
+    """
     return _walk(
         landscape, start, step_limit, record_steps, "first",
         lambda x: _first_moves(landscape, x, seed),

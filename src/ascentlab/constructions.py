@@ -22,8 +22,8 @@ interior table to its A column, and its label ends in "-A".
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .ascent import AscentTrace, StepRecord
@@ -150,14 +150,18 @@ def _constraint(
 ) -> ValuedConstraint:
     """Dense row-major constraint from its entries {scope states: value}; every
     entry not given is 0."""
-    sizes = [domains[v].size for v in scope]
-    values = [0] * math.prod(sizes)
+    index = _flat_index(tuple([domains[v].size for v in scope]))
+    values = [0] * len(index)
     for states, value in entries.items():
-        idx = 0
-        for size, s in zip(sizes, states):
-            idx = idx * size + s
-        values[idx] = value
+        values[index[states]] = value
     return ValuedConstraint(scope, tuple(values), label)
+
+
+@cache
+def _flat_index(sizes: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{states: row-major position} over a scope with these domain sizes;
+    shared between calls, so read only."""
+    return {states: i for i, states in enumerate(itertools.product(*map(range, sizes)))}
 
 
 def _chain_links(

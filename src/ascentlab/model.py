@@ -10,6 +10,8 @@ so values never wrap and no instance is too large to evaluate exactly.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -96,7 +98,7 @@ class ValuedConstraint:
 def check_assignment_against(sizes: Sequence[int], x: Sequence[int]) -> None:
     """Raise InvalidAssignmentError unless x is a valid assignment for domains
     of the given sizes."""
-    if len(x) == len(sizes) and all(0 <= s < m for s, m in zip(x, sizes)):
+    if len(x) == len(sizes) and all(map(operator.lt, x, sizes)) and min(x, default=0) >= 0:
         return
     if len(x) != len(sizes):
         raise InvalidAssignmentError(
@@ -205,20 +207,20 @@ class VcspInstance:
         """Return a list of structural defects; empty means the instance is ok."""
         defects: list[str] = []
         n = self.n_vars
+        size_of = self._sizes.__getitem__  # type: ignore[attr-defined]
         for ci, c in enumerate(self.constraints):
             who = c.label or f"constraint #{ci}"
-            if len(c.scope) == 0:
+            scope = c.scope
+            if len(scope) == 0:
                 defects.append(f"{who}: empty scope")
                 continue
-            if len(set(c.scope)) != len(c.scope):
-                defects.append(f"{who}: scope {c.scope} repeats a variable")
-            bad = [v for v in c.scope if not (0 <= v < n)]
-            if bad:
+            if len(set(scope)) != len(scope):
+                defects.append(f"{who}: scope {scope} repeats a variable")
+            if min(scope) < 0 or max(scope) >= n:
+                bad = [v for v in scope if not (0 <= v < n)]
                 defects.append(f"{who}: scope refers to unknown variable(s) {bad}")
                 continue
-            expected = 1
-            for v in c.scope:
-                expected *= self.sizes[v]
+            expected = math.prod(map(size_of, scope))
             if len(c.values) != expected:
                 defects.append(
                     f"{who}: tensor has {len(c.values)} entries, expected {expected}"

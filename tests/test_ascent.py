@@ -39,7 +39,7 @@ from ascentlab import (
 from ascentlab.ascent import StepRecord
 from ascentlab.verification import traces_equivalent
 
-A, B, C = 0, 1, 2
+A, B, C, D = 0, 1, 2, 3
 
 
 def test_steepest_empty_trace_at_local_solution():
@@ -103,6 +103,17 @@ def test_first_improvement_contract():
         assert tr.terminal
     again = first_improvement_ascent(inst, (A,) * 4, seed=3)
     assert again.steps == first_improvement_ascent(inst, (A,) * 4, seed=3).steps
+
+
+def test_first_improvement_draws_its_first_move_uniformly():
+    # From A every move of the one 4-state variable improves, so the first
+    # step lands on whichever move the scan draws first.
+    inst = VcspInstance(
+        (DomainSpec(tuple("ABCD"), frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})),),
+        (ValuedConstraint((0,), (0, 1, 2, 3)),),
+    )
+    firsts = [first_improvement_ascent(inst, (A,), seed=s).steps[0].dst for s in range(60)]
+    assert all(firsts.count(t) >= 10 for t in (B, C, D))
 
 
 def test_some_seed_finds_a_short_ascent():

@@ -1,9 +1,14 @@
-"""The builders' output, pinned byte for byte.
+"""The builders' output and the seeded first-improvement walks, pinned byte
+for byte.
 
-Each digest is the sha256 of the JSON the builder's output serialises to:
-the instance document for `2by3` and `3by5`; for `bool-pw4` the instance,
+Each builder digest is the sha256 of the JSON the builder's output serialises
+to: the instance document for `2by3` and `3by5`; for `bool-pw4` the instance,
 codec and decomposition documents and the start, as one JSON list.  Any
 change to a label, a scope, a table entry or the constraint order shows.
+
+Each walk digest is the sha256 of `trace_to_json` of a recorded
+first-improvement walk from the family's canonical start, so any change to
+the order in which the seeded scan draws its moves shows.
 """
 
 from __future__ import annotations
@@ -13,7 +18,16 @@ import json
 
 import pytest
 
-from ascentlab import build_2by3, build_3by5, build_boolean_pw4, instance_to_json
+from ascentlab import (
+    build_2by3,
+    build_3by5,
+    build_boolean_pw4,
+    build_family,
+    canonical_start,
+    first_improvement_ascent,
+    instance_to_json,
+    trace_to_json,
+)
 from ascentlab.model import decomposition_to_json
 
 DIGESTS = {
@@ -51,3 +65,26 @@ def _document(family: str, n: int):
 def test_builder_output_is_pinned(family, n):
     text = json.dumps(_document(family, n))
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[family, n]
+
+
+FIRST_DIGESTS = {
+    ("2by3", 6, 0): "be3b335182aaa487bd0e9db90e69df619176c42ce4ebcf6a838aec42e0781f41",
+    ("2by3", 6, 1): "5a941b414e2e1297903c24fa98a09ab275810337c9e17833d44ff0c6bbec308a",
+    ("2by3", 6, 2): "a084248d4ebd68aa77173f73f19ff9b165819ff5ae6f37968c2de0e1770f983d",
+    ("3by5", 4, 0): "8512d40dcc9b31b24997919a3b9b4aff5dd122ee2edff726c167e028894467fb",
+    ("3by5", 4, 1): "90aa221b17620450a6d8dc477b46f413e7f4b8cc737bc244dd3270ab7b138481",
+    ("3by5", 4, 2): "f1dfd09a07567be1d4b7e7af8d3499a71cfff7bf5d03e542fbf76ccd01a76942",
+    ("bool-pw4", 4, 0): "fe769684da024d0815fc8b33cad079fe6348ec34d9979efb5ae8e1b9e45b1e8e",
+    ("bool-pw4", 4, 1): "2d747eb21c78fc3a082865dcf23db52a6435a15f80b6a414c97916545a149b92",
+    ("bool-pw4", 4, 2): "fbf4b650db4b783eb2dc02676936640e444ff8c89a35477532a5a7a9bb375fac",
+}
+
+
+@pytest.mark.parametrize(
+    "family,n,seed", list(FIRST_DIGESTS), ids=[f"{f}-{n}-seed{s}" for f, n, s in FIRST_DIGESTS]
+)
+def test_first_improvement_walk_is_pinned(family, n, seed):
+    inst = build_family(family, n)
+    trace = first_improvement_ascent(inst, canonical_start(family, n), seed=seed)
+    text = json.dumps(trace_to_json(trace, inst))
+    assert hashlib.sha256(text.encode()).hexdigest() == FIRST_DIGESTS[family, n, seed]

@@ -1,5 +1,6 @@
 """Property tests on random small VCSPs: the engines against the from-scratch
-checkers, delta evaluation against full fitness, and the JSON round trip."""
+checkers and replays, delta evaluation against full fitness, and the JSON
+round trip."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from ascentlab import (
     steepest_ascent,
     verify_ordered,
 )
+from ascentlab.ascent import AscentTrace, StepRecord
 from ascentlab.verification import traces_equivalent
 
 SUMMARY_FIELDS = ("length", "terminal", "final", "final_fitness", "tie_steps", "ambiguous_steps")
@@ -123,6 +125,57 @@ def test_ordered_agrees_with_the_from_scratch_checks(case):
     choices = _ordered_choices(inst, trace)
     assert [rec.dst for rec in trace.steps] == [t for t, _ in choices]
     assert trace.ambiguous_steps == sum(1 for _, count in choices if count > 1)
+
+
+def _first_replay(inst, start, seed: int, step_limit: int | None) -> AscentTrace:
+    """First-improvement ascent as documented, from full fitness calls: each
+    step visits the ascending `neighbors(x)` list in the order of a
+    Fisher-Yates shuffle drawn with `randrange(i, m)`, and takes the first
+    move that raises the fitness."""
+    rng = random.Random(seed)
+    x = list(start)
+    f = inst.fitness(x)
+    steps = []
+    while True:
+        moves = inst.neighbors(x)
+        m = len(moves)
+        for i in range(m):
+            j = rng.randrange(i, m)
+            moves[i], moves[j] = moves[j], moves[i]
+            k, t = moves[i]
+            y = list(x)
+            y[k] = t
+            g = inst.fitness(y)
+            if g > f:
+                break
+        else:
+            terminal = True
+            break
+        if len(steps) == step_limit:
+            terminal = False
+            break
+        steps.append(StepRecord(k, x[k], t, g))
+        x, f = y, g
+    return AscentTrace(
+        start=tuple(start),
+        steps=tuple(steps),
+        length=len(steps),
+        terminal=terminal,
+        policy="first",
+        tie_steps=0,
+        ambiguous_steps=0,
+        final=tuple(x),
+        final_fitness=f,
+    )
+
+
+@PROPERTY
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_first_improvement_equals_its_replay(case, seed):
+    inst, start, _, limit = case
+    for step_limit in (None, limit):
+        engine = first_improvement_ascent(inst, start, step_limit=step_limit, seed=seed)
+        assert engine == _first_replay(inst, start, seed, step_limit)
 
 
 @PROPERTY
