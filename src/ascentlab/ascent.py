@@ -1,23 +1,24 @@
 """Deterministic ascent engines over a landscape, plus independent verifiers.
 
 Engines work against any landscape object that exposes `domains`,
-`check_assignment`, `fitness`, and the unchecked `_delta(x, k, s, v)` hook;
+`check_assignment`, `fitness`, `var_neighbors(k)` (the variables whose
+states k's moves depend on) and the unchecked `_delta(x, k, s, v)` hook;
 both `VcspInstance` and the expanded-landscape oracle qualify.  All three
 engines run through one pure-Python step loop with exact integers, in
 recorded and summary mode alike; each engine only supplies the policy that
 picks the next move.
 
 Steepest and ordered ascent read each variable's best move from one per-walk
-helper, `_Blankets`.  On a `VcspInstance` a variable's best move depends only
-on its own state and its blanket `var_neighbors(k)`, so the helper memoises
-it under an incrementally updated key over those states: ordered ascent makes
-one lookup per scan position, and steepest ascent caches one entry per
-variable and refreshes only the moved variable and its blanket.  Landscapes
-without `var_neighbors` get every entry straight from `_delta`, and steepest
-rescans every variable.  First-improvement ascent calls `_delta` directly,
-one move at a time: it keeps each variable's permitted moves, rebuilds only
-the moved variable's list, and draws its random scan order lazily, so a step
-pays only for the moves it tests.  The verifiers re-derive everything from
+helper, `_Blankets`.  A variable's best move depends only on its own state
+and its blanket `var_neighbors(k)`, so the helper memoises it under an
+incrementally updated key over those states: ordered ascent makes one lookup
+per scan position, and steepest ascent caches one entry per variable and
+refreshes only the moved variable and its blanket.  The expanded landscape's
+blanket is every other variable, so there the memo is never reused and
+steepest rescans every variable.  First-improvement ascent calls `_delta`
+directly, one move at a time: it keeps each variable's permitted moves,
+rebuilds only the moved variable's list, and draws its random scan order
+lazily, so a step pays only for the moves it tests.  The verifiers re-derive everything from
 scratch with full fitness evaluations so they catch delta and memo bugs.
 """
 
@@ -131,17 +132,6 @@ def _walk(
     )
 
 
-class _NoMemo:
-    """Stands in for a variable's memo when its blanket is unknown: every
-    lookup misses and nothing is stored."""
-
-    def get(self, key):
-        return None
-
-    def __setitem__(self, key, value) -> None:
-        pass
-
-
 class _Blankets:
     """Per-walk best-move entries for every variable of the live assignment `x`.
 
@@ -149,14 +139,12 @@ class _Blankets:
     the variable's permitted moves, with gain 0 and target -1 when no move
     improves; `scan(k)` computes k's entry from `_delta`.
 
-    On a landscape with `var_neighbors`, k's entry depends only on its own
-    state and the states of its blanket `var_neighbors(k)`.  `keys[k]` is a
-    mixed-radix key over those states, and `memos[k]` maps a key to its entry
-    and fills as the walk visits keys.  After x[k] goes from s to t, the
-    caller adds `(t - s) * w` to `keys[d]` for every `(d, w)` in `deps[k]`;
-    `touched[k]` lists those d, the variables whose entry may have changed.
-    Other landscapes keep every key at 0, never store an entry, and report
-    every variable as touched, so each lookup rescans through `_delta`.
+    k's entry depends only on its own state and the states of its blanket
+    `var_neighbors(k)`.  `keys[k]` is a mixed-radix key over those states,
+    and `memos[k]` maps a key to its entry and fills as the walk visits keys.
+    After x[k] goes from s to t, the caller adds `(t - s) * w` to `keys[d]`
+    for every `(d, w)` in `deps[k]`; `touched[k]` lists those d, the
+    variables whose entry may have changed.
     """
 
     __slots__ = ("scan", "keys", "deps", "touched", "memos")
@@ -185,15 +173,9 @@ class _Blankets:
             return best_gain, best_t, n_best, improving
 
         self.scan = scan
-        deps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.deps = deps
-        get_nbrs = getattr(landscape, "var_neighbors", None)
-        if not callable(get_nbrs):
-            self.keys = [0] * n
-            self.touched = [range(n)] * n
-            self.memos = [_NoMemo()] * n
-            return
+        get_nbrs = landscape.var_neighbors
         sizes = [d.size for d in landscape.domains]
+        deps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         touched: list[list[int]] = [[] for _ in range(n)]
         keys = []
         for k, s in enumerate(x):
@@ -207,6 +189,7 @@ class _Blankets:
                 w *= sizes[j]
             keys.append(s)
         self.keys = keys
+        self.deps = deps
         self.touched = touched
         self.memos = [{} for _ in range(n)]
 
@@ -271,20 +254,17 @@ def _order_positions(landscape, order: Sequence[int] | None) -> tuple[tuple[int,
     order = _checked_order(n, order)
     # After moving k, only variables sharing a constraint with k can change
     # their improving status, so the scan may resume at the earliest of their
-    # order positions.  Landscapes without constraint structure rescan fully.
-    get_nbrs = getattr(landscape, "var_neighbors", None)
-    if callable(get_nbrs):
-        pos = [0] * n
-        for i, k in enumerate(order):
-            pos[k] = i
-        back = []
-        for k, p in enumerate(pos):
-            for j in get_nbrs(k):
-                if pos[j] < p:
-                    p = pos[j]
-            back.append(p)
-    else:
-        back = [0] * n
+    # order positions.
+    get_nbrs = landscape.var_neighbors
+    pos = [0] * n
+    for i, k in enumerate(order):
+        pos[k] = i
+    back = []
+    for k, p in enumerate(pos):
+        for j in get_nbrs(k):
+            if pos[j] < p:
+                p = pos[j]
+        back.append(p)
     return order, back
 
 

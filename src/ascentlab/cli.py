@@ -155,6 +155,17 @@ def _load_start(args, instance) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _run_engine(args, instance, start, step_limit: int | None, record: bool):
+    """One walk of the engine named by `--engine` (`--seed` seeds `first`)."""
+    if args.engine == "steepest":
+        return steepest_ascent(instance, start, step_limit, record_steps=record)
+    if args.engine == "ordered":
+        return ordered_ascent(instance, start, step_limit=step_limit, record_steps=record)
+    return first_improvement_ascent(
+        instance, start, step_limit, seed=args.seed, record_steps=record
+    )
+
+
 def _cmd_ascend(args) -> int:
     if bool(args.instance) == bool(args.family):
         raise BuildError("give exactly one of --instance or --family/--n")
@@ -170,16 +181,7 @@ def _cmd_ascend(args) -> int:
     start = _load_start(args, instance)
     record = not args.summary_only
     t0 = time.perf_counter()
-    if args.engine == "steepest":
-        trace = steepest_ascent(instance, start, args.step_limit, record_steps=record)
-    elif args.engine == "ordered":
-        trace = ordered_ascent(
-            instance, start, step_limit=args.step_limit, record_steps=record
-        )
-    else:
-        trace = first_improvement_ascent(
-            instance, start, args.step_limit, seed=args.seed, record_steps=record
-        )
+    trace = _run_engine(args, instance, start, args.step_limit, record)
     seconds = time.perf_counter() - t0
 
     if args.trace:
@@ -244,14 +246,7 @@ def _cmd_bench(args) -> int:
         instance = build_family(args.family, n)
         start = canonical_start(args.family, n)
         t0 = time.perf_counter()
-        if args.engine == "steepest":
-            trace = steepest_ascent(instance, start, record_steps=False)
-        elif args.engine == "ordered":
-            trace = ordered_ascent(instance, start, record_steps=False)
-        else:
-            trace = first_improvement_ascent(
-                instance, start, seed=args.seed, record_steps=False
-            )
+        trace = _run_engine(args, instance, start, None, False)
         seconds = time.perf_counter() - t0
         rows.append(
             f"{args.family},{n},{trace.length},{seconds:.6f},"

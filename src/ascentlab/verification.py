@@ -190,6 +190,48 @@ def _fmax_recurrence_defect(n_max: int) -> str | None:
     return None
 
 
+def _first_difference(got: Sequence, want: Sequence) -> tuple[int, object, object] | None:
+    """The first index where two sequences differ, as `(i, got[i], want[i])`,
+    or None.  When one is a prefix of the other they differ at the shorter
+    length, and the missing side reads None."""
+    for i, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            return i, g, w
+    i = min(len(got), len(want))
+    if i == max(len(got), len(want)):
+        return None
+    return i, got[i] if i < len(got) else None, want[i] if i < len(want) else None
+
+
+def _doubled_walk(n: int) -> AscentTrace:
+    """The ordered 2by3 ascent from the canonical start, doubled onto the
+    expanded landscape: the walk steepest ascent must retrace."""
+    base = build_2by3(n)
+    trace = ordered_ascent(base, canonical_start("2by3", n))
+    return simulate_ascent(trace, expand_landscape(base))
+
+
+def _doubled_length_failure(n: int, trace: AscentTrace) -> tuple[bool, str, dict] | None:
+    """The failing verdict when a walk is not 2*f_max(n) steps long, else None."""
+    want = 2 * f_max(n)
+    if trace.length == want:
+        return None
+    return False, f"n={n}: length {trace.length} != {want}", {
+        "n": n,
+        "length": trace.length,
+        "expected": want,
+    }
+
+
+def _ending(trace: AscentTrace) -> dict:
+    return {
+        "length": trace.length,
+        "terminal": trace.terminal,
+        "final": list(trace.final),
+        "final_fitness": trace.final_fitness,
+    }
+
+
 def check_ordered_length(n_max: int = 20) -> CheckReport:
     """The ordered ascent from all-A walks through every fitness value: its
     length is exactly the instance maximum, every gain is exactly 1, and the
@@ -203,7 +245,6 @@ def check_ordered_length(n_max: int = 20) -> CheckReport:
             inst = build_2by3(n)
             target = f_max(n)
             trace = ordered_ascent(inst, canonical_start("2by3", n))
-            expected_fitness = list(range(1, target + 1))
             problems = []
             if trace.length != target:
                 problems.append(f"length {trace.length} != {target}")
@@ -213,14 +254,8 @@ def check_ordered_length(n_max: int = 20) -> CheckReport:
                 problems.append(f"final fitness {trace.final_fitness} != {target}")
             if trace.ambiguous_steps != 0:
                 problems.append(f"{trace.ambiguous_steps} ambiguous steps")
-            if trace.fitness_values() != expected_fitness:
-                bad = next(
-                    (i, got, want)
-                    for i, (got, want) in enumerate(
-                        zip(trace.fitness_values(), expected_fitness)
-                    )
-                    if got != want
-                )
+            bad = _first_difference(trace.fitness_values(), range(1, target + 1))
+            if bad is not None:
                 problems.append(f"step {bad[0]} fitness {bad[1]} != {bad[2]} (gain not 1)")
             if problems:
                 return False, f"n={n}: " + "; ".join(problems), {
@@ -239,10 +274,7 @@ def check_simulation(n_max: int = 14, verify_max: int = 10) -> CheckReport:
 
     def body():
         for n in range(2, n_max + 1):
-            base = build_2by3(n)
-            start = canonical_start("2by3", n)
-            base_trace = ordered_ascent(base, start)
-            sim = simulate_ascent(base_trace, expand_landscape(base))
+            sim = _doubled_walk(n)
             inst = build_3by5(n)
             eng = steepest_ascent(inst, canonical_start("3by5", n))
             if eng.tie_steps != 0:
@@ -250,24 +282,17 @@ def check_simulation(n_max: int = 14, verify_max: int = 10) -> CheckReport:
                     "n": n,
                     "tie_steps": eng.tie_steps,
                 }
-            if eng.length != 2 * f_max(n):
-                return False, f"n={n}: length {eng.length} != {2 * f_max(n)}", {
-                    "n": n,
-                    "length": eng.length,
-                    "expected": 2 * f_max(n),
-                }
+            failure = _doubled_length_failure(n, eng)
+            if failure is not None:
+                return failure
             if not traces_equivalent(sim, eng):
-                diff = next(
-                    (i, s, e)
-                    for i, (s, e) in enumerate(zip(sim.steps, eng.steps))
-                    if s != e
-                )
-                return False, f"n={n}: simulated and engine traces differ", {
-                    "n": n,
-                    "step": diff[0],
-                    "simulated": vars(diff[1]),
-                    "engine": vars(diff[2]),
-                }
+                diff = _first_difference(sim.steps, eng.steps)
+                if diff is None:  # same steps, different ending
+                    where = {"simulated": _ending(sim), "engine": _ending(eng)}
+                else:
+                    i, s, e = diff
+                    where = {"step": i, "simulated": s and vars(s), "engine": e and vars(e)}
+                return False, f"n={n}: simulated and engine traces differ", {"n": n, **where}
             if n <= verify_max:
                 bad = verify_steepest(inst, eng)
                 if bad is not None:
@@ -289,35 +314,12 @@ def check_simulation(n_max: int = 14, verify_max: int = 10) -> CheckReport:
 
 
 def padding_violation(instance: VcspInstance, landscape: ExpandedLandscape) -> dict | None:
-    """First assignment of the expanded instance that breaks the padding rules.
-
-    All-main assignments must scale the base fitness exactly; single
-    intermediates must take the positional bonus plus the scaled smaller
-    completion (bonus dropped on a tie); double intermediates must stay at or
-    below the two-intermediate ceiling.
-    """
-    doms = landscape.emap.doms
+    """First assignment of the expanded instance that breaks the padding rules
+    of `ExpandedLandscape.padding_defect`."""
     for x in instance.all_assignments():
-        inter = [k for k in range(len(x)) if not doms[k].is_main(x[k])]
-        got = instance.fitness(x)
-        if len(inter) <= 1:
-            want = landscape.fitness(x)
-            if got != want:
-                return {
-                    "assignment": list(x),
-                    "intermediates": len(inter),
-                    "got": got,
-                    "expected": want,
-                }
-        elif len(inter) == 2:
-            ceiling = landscape.pair_ceiling(x)
-            if got > ceiling:
-                return {
-                    "assignment": list(x),
-                    "intermediates": 2,
-                    "got": got,
-                    "ceiling": ceiling,
-                }
+        bad = landscape.padding_defect(x, instance.fitness(x))
+        if bad is not None:
+            return bad
     return None
 
 
@@ -348,38 +350,28 @@ def check_boolean(n_equiv: int = 4, n_traj: int = 12) -> CheckReport:
             if problem is not None:
                 return False, f"n={n}: {problem}", {"n": n, "violation": problem}
         for n in range(2, n_traj + 1):
-            base = build_2by3(n)
-            landscape = expand_landscape(base)
-            sim = simulate_ascent(ordered_ascent(base, canonical_start("2by3", n)), landscape)
+            sim = _doubled_walk(n)
             inst, codec, _, start = build_boolean_pw4(n)
             eng = steepest_ascent(inst, start)
-            if eng.length != 2 * f_max(n):
-                return False, f"n={n}: length {eng.length} != {2 * f_max(n)}", {
+            failure = _doubled_length_failure(n, eng)
+            if failure is not None:
+                return failure
+            decoded = [codec.decode_states(bits) for bits in eng.states()]
+            diff = _first_difference(decoded, [list(s) for s in sim.states()])
+            if diff is not None:
+                return False, f"n={n}: decoded walk diverges at state {diff[0]}", {
                     "n": n,
-                    "length": eng.length,
-                    "expected": 2 * f_max(n),
+                    "state": diff[0],
+                    "decoded": diff[1],
+                    "expected": diff[2],
                 }
-            decoded = [tuple(codec.decode_states(bits)) for bits in eng.states()]
-            expected = list(sim.states())
-            if decoded != [tuple(s) for s in expected]:
-                i = next(i for i, (d, e) in enumerate(zip(decoded, expected)) if d != tuple(e))
-                return False, f"n={n}: decoded walk diverges at state {i}", {
+            diff = _first_difference(eng.fitness_values(), sim.fitness_values())
+            if diff is not None:
+                return False, f"n={n}: fitness diverges at step {diff[0]}", {
                     "n": n,
-                    "state": i,
-                    "decoded": list(decoded[i]),
-                    "expected": list(expected[i]),
-                }
-            if eng.fitness_values() != sim.fitness_values():
-                i = next(
-                    i
-                    for i, (a, b) in enumerate(zip(eng.fitness_values(), sim.fitness_values()))
-                    if a != b
-                )
-                return False, f"n={n}: fitness diverges at step {i}", {
-                    "n": n,
-                    "step": i,
-                    "got": eng.fitness_values()[i],
-                    "expected": sim.fitness_values()[i],
+                    "step": diff[0],
+                    "got": diff[1],
+                    "expected": diff[2],
                 }
         return True, "boolean fitness equivalence and decoded replay hold", None
 
@@ -491,8 +483,6 @@ def check_rank1() -> CheckReport:
 
 # -- aggregation ----------------------------------------------------------------
 
-CHECK_NAMES = ("ordered-length", "simulation", "padding", "boolean", "pathwidth", "rank1")
-
 DEFAULT_CAPS = {
     "ordered-length": 20,
     "simulation": 14,
@@ -503,23 +493,23 @@ DEFAULT_CAPS = {
     "pathwidth": 200,
 }
 
+# Each check by name, with its caps.  The lambdas look the checks up as module
+# globals at call time, so a wrapper installed on those names sees every call.
+_CHECKS: dict[str, Callable[[dict[str, int]], CheckReport]] = {
+    "ordered-length": lambda c: check_ordered_length(c["ordered-length"]),
+    "simulation": lambda c: check_simulation(c["simulation"], c["simulation-verify"]),
+    "padding": lambda c: check_padding(c["padding"]),
+    "boolean": lambda c: check_boolean(c["boolean-equiv"], c["boolean"]),
+    "pathwidth": lambda c: check_pathwidth(c["pathwidth"]),
+    "rank1": lambda c: check_rank1(),
+}
+CHECK_NAMES = tuple(_CHECKS)
+
 
 def run_check(name: str, caps: dict[str, int] | None = None) -> CheckReport:
-    c = dict(DEFAULT_CAPS)
-    c.update(caps or {})
-    if name == "ordered-length":
-        return check_ordered_length(c["ordered-length"])
-    if name == "simulation":
-        return check_simulation(c["simulation"], c["simulation-verify"])
-    if name == "padding":
-        return check_padding(c["padding"])
-    if name == "boolean":
-        return check_boolean(c["boolean-equiv"], c["boolean"])
-    if name == "pathwidth":
-        return check_pathwidth(c["pathwidth"])
-    if name == "rank1":
-        return check_rank1()
-    raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
+    if name not in _CHECKS:
+        raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
+    return _CHECKS[name]({**DEFAULT_CAPS, **(caps or {})})
 
 
 def run_all(caps: dict[str, int] | None = None) -> list[CheckReport]:

@@ -273,3 +273,25 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--check", "rank1")
     report = json.loads(out.strip())
     assert code == 1 and report["passed"] is False and report["counterexample"]
+
+
+def test_verify_reports_a_short_reference_walk(capsys, monkeypatch):
+    import dataclasses
+
+    from ascentlab import verification
+
+    real = verification.ordered_ascent
+
+    def truncated(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        return dataclasses.replace(trace, steps=trace.steps[:-1], length=trace.length - 1)
+
+    monkeypatch.setattr(verification, "ordered_ascent", truncated)
+    code, out, err = run(
+        capsys, "verify", "--check", "boolean", "--cap", "boolean-equiv=2", "--cap", "boolean=3"
+    )
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 1 and err == ""
+    report = json.loads(lines[0])
+    assert report["name"] == "boolean" and report["passed"] is False
+    assert report["counterexample"]["n"] == 2

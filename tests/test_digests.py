@@ -9,6 +9,10 @@ change to a label, a scope, a table entry or the constraint order shows.
 Each walk digest is the sha256 of `trace_to_json` of a recorded
 first-improvement walk from the family's canonical start, so any change to
 the order in which the seeded scan draws its moves shows.
+
+The verify digest is the sha256 of every check's JSON report at small caps,
+without its run time, so any change to a verdict, a detail line or a
+counterexample shows.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from ascentlab import (
     trace_to_json,
 )
 from ascentlab.model import decomposition_to_json
+from ascentlab.verification import run_all
 
 DIGESTS = {
     ("2by3", 2): "b478bbfe3ef18c4dcc1886eb3832aa81cd5505a3ca683f417d1975e538ce7917",
@@ -88,3 +93,25 @@ def test_first_improvement_walk_is_pinned(family, n, seed):
     trace = first_improvement_ascent(inst, canonical_start(family, n), seed=seed)
     text = json.dumps(trace_to_json(trace, inst))
     assert hashlib.sha256(text.encode()).hexdigest() == FIRST_DIGESTS[family, n, seed]
+
+
+# The benchmark's small verify caps, copied so that the digest does not move
+# with the benchmark.
+VERIFY_CAPS = {
+    "ordered-length": 4,
+    "simulation": 4,
+    "simulation-verify": 4,
+    "padding": 3,
+    "boolean": 4,
+    "boolean-equiv": 2,
+    "pathwidth": 6,
+}
+VERIFY_DIGEST = "3ef2bed46dc1b98f551e567e8449ef6df917f71a25611fef75ca23d277875683"
+
+
+def test_verify_reports_are_pinned():
+    reports = [report.to_json() for report in run_all(VERIFY_CAPS)]
+    for report in reports:
+        del report["runtime_s"]
+    text = json.dumps(reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGEST

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from ascentlab import (
@@ -16,10 +18,14 @@ from ascentlab import (
     run_all,
     steepest_ascent,
 )
-from ascentlab.constructions import pw4_equivalence_violation
+from ascentlab import verification
+from ascentlab.constructions import f_max, pw4_equivalence_violation
 from ascentlab.verification import (
     CHECK_NAMES,
+    check_boolean,
+    check_ordered_length,
     check_rank1,
+    check_simulation,
     padding_violation,
     run_check,
     traces_equivalent,
@@ -166,7 +172,58 @@ def test_removing_the_adjacency_penalty_breaks_the_ceiling():
     inst, codec, _, _ = build_boolean_pw4(2)
     stripped = without_constraints(inst, "J~")
     problem = pw4_equivalence_violation(stripped, codec, expand_landscape(build_2by3(2)))
-    assert problem is not None and "ceiling" in problem
+    assert problem == "two-intermediate ceiling broken at bits=(0, 0, 0, 1, 1): 18 > 13"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_boolean_bump_off_the_penalty_breaks_the_equivalence(n):
+    # The J~ penalties only touch states with two adjacent intermediates,
+    # which a one-point bump keeps under the ceiling.
+    inst, codec, _, _ = build_boolean_pw4(n)
+    landscape = expand_landscape(build_2by3(n))
+    labels = [c.label for c in inst.constraints if any(c.values) and not c.label.startswith("J~")]
+    assert len(labels) >= 5
+    for label in labels:
+        bumped = with_bumped_constraint(inst, label)
+        assert pw4_equivalence_violation(bumped, codec, landscape) is not None, label
+
+
+# -- a reference walk that stops one step short ---------------------------------------
+
+
+@pytest.fixture
+def truncated_reference(monkeypatch):
+    """Make every ordered walk the checks take drop its last recorded step."""
+    real = verification.ordered_ascent
+
+    def truncated(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        return dataclasses.replace(trace, steps=trace.steps[:-1], length=trace.length - 1)
+
+    monkeypatch.setattr(verification, "ordered_ascent", truncated)
+
+
+def test_a_short_ordered_walk_fails_the_length_check(truncated_reference):
+    report = check_ordered_length(4)
+    assert not report.passed
+    assert report.counterexample == {"n": 2, "length": f_max(2) - 1, "expected": f_max(2)}
+    assert f"step {f_max(2) - 1} fitness None != {f_max(2)}" in report.details
+
+
+def test_a_short_reference_walk_fails_the_simulation_check(truncated_reference):
+    report = check_simulation(4, 2)
+    assert not report.passed
+    cex = report.counterexample
+    assert cex["n"] == 2 and cex["step"] == 2 * f_max(2) - 2
+    assert cex["simulated"] is None and cex["engine"]["var"] in (0, 1)
+
+
+def test_a_short_reference_walk_fails_the_boolean_check(truncated_reference):
+    report = check_boolean(2, 4)
+    assert not report.passed
+    cex = report.counterexample
+    assert cex["n"] == 2 and cex["state"] == 2 * f_max(2) - 1
+    assert cex["expected"] is None and len(cex["decoded"]) == 2
 
 
 def test_tampered_decomposition_is_detected():
