@@ -17,6 +17,15 @@ phantom position n+1 that has no variables and is pinned to A (its only code
 is the empty one, for state A).  A constraint that reaches across to position
 k+1 is written once; at k = n it reads the phantom and so restricts the
 interior table to its A column, and its label ends in "-A".
+
+Nearly all of what position k contributes does not depend on n: its
+variables, labels and scopes, each table at unit weight, and in bool-pw4 its
+bit collection, bit names and decomposition bags.  Each builder therefore
+reads the rows of position k from a process-wide cache keyed on k and on
+whether k closes the chain, and only multiplies them by what does depend on
+n (the scale 2n+1, which is 1 in 2by3, the bonus n-k+1 and the penalty
+-(2n+1)*f_max(n)), so building every n up to 200 makes each position's rows
+once.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ascent import AscentTrace, StepRecord
 from .model import (
@@ -107,54 +116,83 @@ TWO_STATE = DomainSpec(("A", "B"), frozenset({(0, 1)}))
 THREE_STATE = DomainSpec(("A", "B", "C"), frozenset({(0, 1), (1, 2)}))
 
 
-def _chain_domains(n: int) -> tuple[DomainSpec, ...]:
-    """The 2by3 chain's domains: {A, B} at odd positions, {A, B, C} at even."""
+def _base_domain(k: int) -> DomainSpec:
+    """Position k's base domain: {A, B} at odd k, {A, B, C} at even k."""
+    return TWO_STATE if k % 2 == 1 else THREE_STATE
+
+
+def _chain_positions(n: int) -> range:
+    """Positions 1..n of a chain of length n."""
     if n < 2:
         raise BuildError(f"need n >= 2, got {n}")
-    return tuple(TWO_STATE if k % 2 == 1 else THREE_STATE for k in range(1, n + 1))
+    return range(1, n + 1)
+
+
+def _chain_domains(n: int) -> tuple[DomainSpec, ...]:
+    """The 2by3 chain's domains, positions 1..n."""
+    return tuple(map(_base_domain, _chain_positions(n)))
+
+
+class _Read:
+    """How a constraint reads some variables: their domain sizes and the codes
+    over them that it keys on, each with its index along the table axis it
+    selects.  `_read` makes equal reads one object, so that tables over them
+    are built once and looked up by identity."""
+
+    __slots__ = ("sizes", "codes")
+
+    def __init__(self, sizes: tuple[int, ...], codes: tuple[tuple[tuple[int, ...], int], ...]):
+        self.sizes = sizes
+        self.codes = codes
+
+
+@cache
+def _read(sizes: tuple[int, ...], codes: tuple[tuple[tuple[int, ...], int], ...]) -> _Read:
+    return _Read(sizes, codes)
+
+
+# The variables of a position with a read of them.
+_Part = tuple[tuple[int, ...], _Read]
 
 
 @dataclass(frozen=True)
 class _Position:
-    """A chain position as its constraints read it: its variables, the codes
-    of its main states over them (code -> base state id), its name in labels,
-    and the label suffix of a constraint that closes the chain on it."""
+    """A chain position as its constraints read it: its variables, the read of
+    its main states (code -> base state id), its name in labels, and the label
+    suffix of a constraint that closes the chain on it."""
 
     vars: tuple[int, ...]
-    main: dict[tuple[int, ...], int]
+    main: _Read
     name: str
     pin: str = ""
 
-    def part(self, lo: int, hi: int) -> "_Position":
-        """The same position read through its variables lo..hi-1 only."""
-        main = {code[lo:hi]: s for code, s in self.main.items()}
-        return _Position(self.vars[lo:hi], main, self.name, self.pin)
+    def at(self, read: _Read | None = None) -> _Part:
+        """Its variables with `read`, by default with its main codes."""
+        return self.vars, read or self.main
+
+    def part(self, lo: int, hi: int) -> _Part:
+        """Its variables lo..hi-1 only, with its main codes cut to them."""
+        return self.vars[lo:hi], _cut(self.main, lo, hi)
 
 
-_PHANTOM = _Position((), {(): 0}, "A", "-A")
+@cache
+def _cut(read: _Read, lo: int, hi: int) -> _Read:
+    """`read` through its variables lo..hi-1 only."""
+    codes = {code[lo:hi]: s for code, s in read.codes}
+    return _read(read.sizes[lo:hi], tuple(codes.items()))
 
 
-def _state_positions(n: int) -> list[_Position]:
-    """Positions 1..n+1 of a chain with one variable per position."""
-    return [
-        _Position((k,), {(s,): s for s in range(d.size)}, str(k + 1))
-        for k, d in enumerate(_chain_domains(n))
-    ] + [_PHANTOM]
+_PHANTOM = _Position((), _read((), (((), 0),)), "A", "-A")
 
 
-def _constraint(
-    domains: Sequence[DomainSpec],
-    scope: tuple[int, ...],
-    entries: dict[tuple[int, ...], int],
-    label: str,
-) -> ValuedConstraint:
-    """Dense row-major constraint from its entries {scope states: value}; every
-    entry not given is 0."""
-    index = _flat_index(tuple([domains[v].size for v in scope]))
-    values = [0] * len(index)
-    for states, value in entries.items():
-        values[index[states]] = value
-    return ValuedConstraint(scope, tuple(values), label)
+@cache
+def _state_position(k: int, expanded: bool) -> _Position:
+    """Position k of a chain with one variable per position, over its base
+    domain or its expanded one; its main codes are the base states."""
+    base = _base_domain(k)
+    size = _EXPANDED[base].spec.size if expanded else base.size
+    main = _read((size,), tuple(((s,), s) for s in range(base.size)))
+    return _Position((k - 1,), main, str(k))
 
 
 @cache
@@ -164,23 +202,92 @@ def _flat_index(sizes: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return {states: i for i, states in enumerate(itertools.product(*map(range, sizes)))}
 
 
-def _chain_links(
-    domains: Sequence[DomainSpec], pos: Sequence[_Position], scale: int, mark: str
-) -> list[ValuedConstraint]:
-    """The chain table between each position and the next at `scale` times its
-    weight, zero off the main codes; the last one closes on the phantom."""
-    links = []
-    for k in range(1, len(pos)):
-        stem, w, table = _chain_link(k)
-        a, b = pos[k - 1], pos[k]
-        entries = {
-            ac + bc: scale * w * table[u][v]
-            for ac, u in a.main.items()
-            for bc, v in b.main.items()
-        }
-        label = f"{stem}{mark}@{a.name}-{b.name}"
-        links.append(_constraint(domains, a.vars + b.vars, entries, label))
-    return links
+# A unit table as its size and its nonzero entries (row-major position, value).
+_Unit = tuple[int, tuple[tuple[int, int], ...]]
+
+
+@cache
+def _unit(reads: tuple[_Read, ...], table: tuple) -> _Unit:
+    """The row-major tensor over `reads`, in order, that holds
+    table[i1][i2]... at each combination of their codes (i1, i2, ... being the
+    codes' indices) and 0 elsewhere."""
+    index = _flat_index(sum((r.sizes for r in reads), ()))
+    entries = []
+    for combo in itertools.product(*(r.codes for r in reads)):
+        value = table
+        for _, i in combo:
+            value = value[i]
+        if value:
+            entries.append((index[sum((code for code, _ in combo), ())], value))
+    return len(index), tuple(entries)
+
+
+# A row is one constraint of a chain position before the chain's length n is
+# known: its scope, its unit table, its label, its weight, and the factor of
+# the build that scales it too.  The factors are the landscape scale (1 for
+# 2by3, 2n+1 otherwise), the position's bonus n-k+1 and the
+# adjacent-intermediate penalty -(2n+1)*f_max(n).
+_SCALE, _BONUS, _PENALTY = range(3)
+_Row = tuple[tuple[int, ...], _Unit, str, int, int]
+
+
+def _row(
+    over: Sequence[_Part], table: tuple, label: str, weight: int = 1, factor: int = _SCALE
+) -> _Row:
+    """The row over the parts `over`, in order, whose unit table is `_unit`
+    of `table` over their reads."""
+    scope = ()
+    for part in over:
+        scope += part[0]
+    return scope, _unit(tuple([read for _, read in over]), table), label, weight, factor
+
+
+def _link_row(k: int, a: _Position, b: _Position, mark: str) -> _Row:
+    """The chain table between position k, read as `a`, and the next, read as
+    `b`, at its weight; zero off the main codes."""
+    stem, w, table = _chain_link(k)
+    return _row((a.at(), b.at()), table, f"{stem}{mark}@{a.name}-{b.name}", w)
+
+
+class _Rows(NamedTuple):
+    """What position k adds to every chain of length n >= k, given only
+    whether it closes the chain (k == n), so one is built per (k, k == n) and
+    shared by all builds: its rows in constraint groups and, in bool-pw4, its
+    bit collection, its bit names and the decomposition bags ending on it."""
+
+    groups: tuple[tuple[_Row, ...], ...]
+    collection: CollectionCodec | None = None
+    names: tuple[str, ...] = ()
+    bags: tuple[tuple[int, ...], ...] = ()
+
+
+def _assemble(
+    cells: Sequence[_Rows], scale: int, penalty: int = 0
+) -> tuple[ValuedConstraint, ...]:
+    """The constraints of the chain whose positions 1..n contribute `cells`:
+    group by group and, within a group, position by position, each unit
+    table times its weight and its factor in this build."""
+    n = len(cells)
+    constraints = []
+    append = constraints.append
+    for group in range(len(cells[0].groups)):
+        for k, cell in enumerate(cells, 1):
+            factors = (scale, n - k + 1, penalty)
+            for scope, (size, entries), label, weight, factor in cell.groups[group]:
+                f = factors[factor] * weight
+                values = [0] * size
+                for i, v in entries:
+                    values[i] = f * v
+                append(ValuedConstraint(scope, tuple(values), label))
+    return tuple(constraints)
+
+
+@cache
+def _2by3_rows(k: int, closing: bool) -> _Rows:
+    """Position k's one row: the chain table to the next position."""
+    a = _state_position(k, False)
+    b = _PHANTOM if closing else _state_position(k + 1, False)
+    return _Rows(((_link_row(k, a, b, ""),),))
 
 
 def build_2by3(n: int) -> VcspInstance:
@@ -190,8 +297,8 @@ def build_2by3(n: int) -> VcspInstance:
     between A-B and B-C.  Consecutive positions share a weighted chain table.
     """
     domains = _chain_domains(n)
-    constraints = _chain_links(domains, _state_positions(n), 1, "")
-    inst = VcspInstance(domains, tuple(constraints), family="2by3", base_n=n)
+    constraints = _assemble([_2by3_rows(k, k == n) for k in _chain_positions(n)], 1)
+    inst = VcspInstance(domains, constraints, family="2by3", base_n=n)
     return _finish(inst, f"build_2by3({n})")
 
 
@@ -416,6 +523,35 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
 # -- expanded instance (alternating 3-state and 5-state domains) --------------
 
 
+@cache
+def _3by5_rows(k: int, closing: bool) -> _Rows:
+    """Position k's rows in two groups: the lifted chain table to the next
+    position; the unary intermediate bonus and, past position 1, the ternary
+    minimisation constraint over the two flanks and the intermediate."""
+    # 3-state positions have one intermediate (id 2) with profile ODD_MIN;
+    # 5-state positions have sAB (id 3) and sBC (id 4).
+    odd = k % 2 == 1
+    me = _state_position(k, True)
+    right = _PHANTOM if closing else _state_position(k + 1, True)
+    inter = (2,) if odd else (3, 4)
+    ids = _read(me.main.sizes, tuple(((s,), i) for i, s in enumerate(inter)))
+    label = f"{'U' if odd else 'V'}@{k}"
+    middle = [_row((me.at(ids),), (1,) * len(inter), label, factor=_BONUS)]
+    l = k // 2
+    if l >= 1:
+        m = weight_m(l)
+        if odd:
+            stem, w, profiles = "T", m + 1, (ODD_MIN,)
+        else:
+            stem, w, profiles = "S", 1, (even_min_ab(m), even_min_bc(m))
+        left = _state_position(k - 1, True)
+        # table[u][v][i] = profiles[i][u][v]
+        table = tuple(tuple(zip(*rows)) for rows in zip(*profiles))
+        label = f"{stem}^{l}@{k}{right.pin}"
+        middle.append(_row((left.at(), right.at(), me.at(ids)), table, label, w))
+    return _Rows(((_link_row(k, me, right, "^"),), tuple(middle)))
+
+
 def build_3by5(n: int) -> VcspInstance:
     """Expanded chain instance whose fitness equals the padded landscape.
 
@@ -425,39 +561,9 @@ def build_3by5(n: int) -> VcspInstance:
     unary bonus, so single-intermediate assignments take the padded value
     exactly.
     """
-    emap = _expanded_chain(n)
-    domains = emap.domains
-    scale = 2 * n + 1
-    pos = _state_positions(n)
-
-    constraints = _chain_links(domains, pos, scale, "^")
-    for k in range(1, n + 1):
-        # 3-state positions have one intermediate (id 2) with profile ODD_MIN;
-        # 5-state positions have sAB (id 3) and sBC (id 4).
-        odd = k % 2 == 1
-        inter = (2,) if odd else (3, 4)
-        me = pos[k - 1]
-        bonus = {(s,): n - k + 1 for s in inter}
-        constraints.append(_constraint(domains, me.vars, bonus, f"{'U' if odd else 'V'}@{k}"))
-        l = k // 2
-        if l < 1:
-            continue
-        m = weight_m(l)
-        if odd:
-            stem, w, profiles = "T", m + 1, (ODD_MIN,)
-        else:
-            stem, w, profiles = "S", 1, (even_min_ab(m), even_min_bc(m))
-        left, right = pos[k - 2], pos[k]
-        entries = {
-            ac + bc + (s,): scale * w * profile[u][v]
-            for s, profile in zip(inter, profiles)
-            for ac, u in left.main.items()
-            for bc, v in right.main.items()
-        }
-        scope = left.vars + right.vars + me.vars
-        constraints.append(_constraint(domains, scope, entries, f"{stem}^{l}@{k}{right.pin}"))
-
-    inst = VcspInstance(domains, tuple(constraints), family="3by5", base_n=n)
+    domains = _expanded_chain(n).domains
+    constraints = _assemble([_3by5_rows(k, k == n) for k in _chain_positions(n)], 2 * n + 1)
+    inst = VcspInstance(domains, constraints, family="3by5", base_n=n)
     return _finish(inst, f"build_3by5({n})")
 
 
@@ -488,9 +594,6 @@ class CollectionCodec:
 
     def encode(self, sid: int) -> tuple[int, ...]:
         return self._encode[sid]  # type: ignore[attr-defined]
-
-    def codes_of(self, sid: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(code for code, s in self.codes if s == sid)
 
 
 @dataclass(frozen=True)
@@ -571,19 +674,79 @@ def _pw4_codes(dom: ExpandedDomain) -> tuple[tuple[tuple[int, ...], int], ...]:
 _PW4_CODES = {d: _pw4_codes(e) for d, e in _EXPANDED.items()}
 
 
-def _pw4_codec(emap: ExpansionMap) -> BooleanCodec:
-    """One collection of `_pw4_codes` per expanded chain domain."""
-    colls = []
-    offset = 0
-    for dom in emap.doms:
-        codes = _PW4_CODES[dom.base]
-        colls.append(CollectionCodec(dom.n_main, offset, dom.spec.states, codes))
-        offset += dom.n_main
-    return BooleanCodec(tuple(colls))
+# The intermediate codes that the constraints key on: the two dual codes of
+# an odd collection, and sAB then sBC of an even one.
+_DUAL = _read((2, 2), (((0, 0), 0), ((1, 1), 1)))
+_SIGMA = _read((2, 2, 2), (((1, 1, 0), 0), ((0, 1, 1), 1)))
+# The split minimisation parts as tables over (left flank, dual code) and
+# (dual code, right flank).
+_DUAL_LEFT = tuple(zip(*(DUAL_COL[code] for code, _ in _DUAL.codes)))
+_DUAL_RIGHT = tuple(DUAL_ROW[code] for code, _ in _DUAL.codes)
 
 
-_EVEN_SIGMA = {(1, 1, 0): "ab", (0, 1, 1): "bc"}
-_DUAL = ((0, 0), (1, 1))
+@cache
+def _pw4_collection(k: int) -> CollectionCodec:
+    """Position k's bit collection, after the 2 + 3 bits of each earlier pair
+    of positions."""
+    dom = _EXPANDED[_base_domain(k)]
+    offset = 5 * ((k - 1) // 2) + 2 * ((k - 1) % 2)
+    return CollectionCodec(dom.n_main, offset, dom.spec.states, _PW4_CODES[dom.base])
+
+
+@cache
+def _pw4_position(k: int) -> _Position:
+    """Position k's bits, read through their one-hot main codes."""
+    c = _pw4_collection(k)
+    main = _read((2,) * c.width, tuple((code, s) for code, s in c.codes if s < c.width))
+    return _Position(tuple(range(c.offset, c.offset + c.width)), main, f"G{k}")
+
+
+@cache
+def _pw4_rows(k: int, closing: bool) -> _Rows:
+    """Position k's rows in four groups: the lifted chain table to the next
+    collection (zero off the one-hot main codes); at odd k the unary dual-code
+    bonus and the split minimisation parts; at even k the unary intermediate
+    bonus and the flank-bit minimisation constraint; the adjacent-intermediate
+    penalty to the next collection."""
+    me = _pw4_position(k)
+    right = _PHANTOM if closing else _pw4_position(k + 1)
+    l = k // 2
+    odd, even, bags = [], [], []
+    if k > 1:
+        left = _pw4_position(k - 1)
+        bags.append(left.vars + me.vars)
+    if k % 2 == 1:
+        inter, next_inter = _DUAL, _SIGMA
+        odd.append(_row((me.at(_DUAL),), (1, 1), f"U~{l}@{me.name}", factor=_BONUS))
+        if l >= 1:
+            w = weight_m(l) + 1
+            label = f"T~{l}-@{left.name}-{me.name}"
+            odd.append(_row((left.at(), me.at(_DUAL)), _DUAL_LEFT, label, w))
+            label = f"T~{l}+@{me.name}-{right.name}"
+            odd.append(_row((me.at(_DUAL), right.at()), _DUAL_RIGHT, label, w))
+    else:
+        inter, next_inter = _SIGMA, _DUAL
+        # The left flank is the second bit of the previous collection (0 reads
+        # A, 1 reads B); the right flank is the first bit of the next one (1
+        # reads A, 0 reads B), so consecutive scopes stay disjoint.  The
+        # decomposition puts this scope right after the pair ending on it.
+        even.append(_row((me.at(_SIGMA),), (1, 1), f"V~{l}@{me.name}", factor=_BONUS))
+        flank = (left.part(1, 2), me.at(_SIGMA), right.part(0, 1))
+        # table[u][i][v]: the sAB (i = 0) and sBC (i = 1) profiles side by side
+        table = tuple(zip(even_min_ab(weight_m(l)), even_min_bc(weight_m(l))))
+        even.append(_row(flank, table, f"S~{l}@{me.name}{right.pin}"))
+        bags.append(even[-1][0])
+    penalty = ()
+    if not closing:
+        parts = (me.at(inter), right.at(next_inter))
+        penalty = (_row(parts, ((1, 1), (1, 1)), f"J~@{me.name}{right.name}", factor=_PENALTY),)
+    groups = ((_link_row(k, me, right, "~"),), tuple(odd), tuple(even), penalty)
+    names = tuple(f"{me.name}.{b}" for b in range(len(me.vars)))
+    return _Rows(groups, _pw4_collection(k), names, tuple(bags))
+
+
+# Each n <= 4 whose build passed the exhaustive self-check in this process.
+_PW4_CHECKED: set[int] = set()
 
 
 def build_boolean_pw4(
@@ -600,109 +763,31 @@ def build_boolean_pw4(
     minimisation constraint reads one flank bit from each neighbouring 2-bit
     collection; a heavy penalty on adjacent intermediate codes keeps that
     flank shortcut from ever paying off.  State-valued tables carry the (2n+1)
-    landscape scale; the per-position unary bonuses do not.
+    landscape scale; the per-position unary bonuses do not.  The canonical
+    decomposition lists the scopes of consecutive collection pairs in path
+    order, each even position's flank scope right after the pair that ends on
+    it; every bag has at most 5 bits.
     """
-    codec = _pw4_codec(_expanded_chain(n))
+    cells = [_pw4_rows(k, k == n) for k in _chain_positions(n)]
     scale = 2 * n + 1
-    penalty = -scale * f_max(n)
-    domains = tuple(BIT for _ in range(codec.total_bits))
-    names = tuple(
-        f"G{k + 1}.{b}" for k, c in enumerate(codec.collections) for b in range(c.width)
-    )
-    pos = [
-        _Position(
-            tuple(range(c.offset, c.offset + c.width)),
-            {code: s for code, s in c.codes if s < c.width},
-            f"G{k + 1}",
-        )
-        for k, c in enumerate(codec.collections)
-    ] + [_PHANTOM]
-
-    # Lifted chain tables between consecutive collections (zero off the
-    # one-hot main codes).
-    constraints = _chain_links(domains, pos, scale, "~")
-
-    # Odd positions: unary dual-code bonus and the split minimisation parts.
-    for k in range(1, n + 1, 2):
-        l = (k - 1) // 2
-        left, me, right = pos[k - 2], pos[k - 1], pos[k]
-        bonus = {code: n - k + 1 for code in _DUAL}
-        constraints.append(_constraint(domains, me.vars, bonus, f"U~{l}@{me.name}"))
-        if l < 1:
-            continue
-        wt = scale * (weight_m(l) + 1)
-        entries = {
-            ac + code: wt * DUAL_COL[code][u]
-            for ac, u in left.main.items()
-            for code in _DUAL
-        }
-        label = f"T~{l}-@{left.name}-{me.name}"
-        constraints.append(_constraint(domains, left.vars + me.vars, entries, label))
-        entries = {
-            code + bc: wt * DUAL_ROW[code][v]
-            for code in _DUAL
-            for bc, v in right.main.items()
-        }
-        label = f"T~{l}+@{me.name}-{right.name}"
-        constraints.append(_constraint(domains, me.vars + right.vars, entries, label))
-
-    # Even positions: unary intermediate bonus and the flank-bit minimisation
-    # constraint.  The left flank is the second bit of the previous collection
-    # (0 reads A, 1 reads B); the right flank is the first bit of the next
-    # collection (1 reads A, 0 reads B), so consecutive scopes stay disjoint.
-    flank_scopes = {}
-    for k in range(2, n + 1, 2):
-        l = k // 2
-        left, me, right = pos[k - 2].part(1, 2), pos[k - 1], pos[k].part(0, 1)
-        bonus = {code: n - k + 1 for code in _EVEN_SIGMA}
-        constraints.append(_constraint(domains, me.vars, bonus, f"V~{l}@{me.name}"))
-        profile = {"ab": even_min_ab(weight_m(l)), "bc": even_min_bc(weight_m(l))}
-        entries = {
-            ac + code + bc: scale * profile[kind][u][v]
-            for code, kind in _EVEN_SIGMA.items()
-            for ac, u in left.main.items()
-            for bc, v in right.main.items()
-        }
-        scope = flank_scopes[k] = left.vars + me.vars + right.vars
-        constraints.append(_constraint(domains, scope, entries, f"S~{l}@{me.name}{right.pin}"))
-
-    # Adjacent-intermediate penalty on every consecutive collection pair; the
-    # two orientations share their tensors.
-    inter = {1: _DUAL, 0: tuple(_EVEN_SIGMA)}
-    penalties: dict[int, tuple[int, ...]] = {}
-    for k in range(1, n):
-        a, b = pos[k - 1], pos[k]
-        if k % 2 not in penalties:
-            entries = {ac + bc: penalty for ac in inter[k % 2] for bc in inter[1 - k % 2]}
-            penalties[k % 2] = _constraint(domains, a.vars + b.vars, entries, "").values
-        label = f"J~@{a.name}{b.name}"
-        constraints.append(ValuedConstraint(a.vars + b.vars, penalties[k % 2], label))
-
+    constraints = _assemble(cells, scale, -scale * f_max(n))
+    codec = BooleanCodec(tuple(c.collection for c in cells))
     inst = VcspInstance(
-        domains,
-        tuple(constraints),
+        (BIT,) * codec.total_bits,
+        constraints,
         family="bool-pw4",
         base_n=n,
-        var_names=names,
+        var_names=tuple(itertools.chain.from_iterable(c.names for c in cells)),
     )
     inst = _finish(inst, f"build_boolean_pw4({n})")
-
-    # Canonical decomposition: the scopes of consecutive collection pairs in
-    # path order, each even position's flank scope right after the pair that
-    # ends on it; every bag has at most 5 bits.
-    bags: list[frozenset[int]] = []
-    for k in range(1, n):
-        bags.append(frozenset(pos[k - 1].vars + pos[k].vars))
-        if k % 2 == 1:
-            bags.append(frozenset(flank_scopes[k + 1]))
-    decomp = PathDecomposition(tuple(bags))
-
+    decomp = PathDecomposition(tuple(itertools.chain.from_iterable(c.bags for c in cells)))
     start = codec.encode(tuple(0 for _ in range(n)))
 
-    if n <= 4:
+    if n <= 4 and n not in _PW4_CHECKED:
         problem = pw4_equivalence_violation(inst, codec, ExpandedLandscape(build_2by3(n)))
         if problem is not None:
             raise BuildError(f"build_boolean_pw4({n}) self-check failed: {problem}")
+        _PW4_CHECKED.add(n)
 
     return inst, codec, decomp, start
 

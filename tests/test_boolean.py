@@ -18,6 +18,7 @@ from ascentlab import (
     simulate_ascent,
     steepest_ascent,
 )
+from ascentlab import constructions
 from ascentlab.constructions import pw4_equivalence_violation
 
 A, B, C = 0, 1, 2
@@ -41,7 +42,7 @@ def test_pw4_dual_decoding():
     _, codec, _, _ = build_boolean_pw4(2)
     odd = codec.collections[0]
     assert odd.decode((0, 0)) == 2 and odd.decode((1, 1)) == 2
-    assert sorted(odd.codes_of(2)) == [(0, 0), (1, 1)]
+    assert sorted(code for code, s in odd.codes if s == 2) == [(0, 0), (1, 1)]
     assert decode_assignment(codec, (1, 1, 1, 1, 1)) == [("sAB", "11"), ("junk", "111")]
     assert decode_assignment(codec, (1, 0, 1, 0, 0)) == [("A", "10"), ("A", "100")]
 
@@ -175,6 +176,21 @@ def test_master_invariant_exhaustive(n):
     inst, codec, _, _ = build_boolean_pw4(n)
     landscape = expand_landscape(build_2by3(n))
     assert pw4_equivalence_violation(inst, codec, landscape) is None
+
+
+def test_build_self_check_runs_once_per_n(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pw4_equivalence_violation(*args)
+
+    monkeypatch.setattr(constructions, "_PW4_CHECKED", set())
+    monkeypatch.setattr(constructions, "pw4_equivalence_violation", counted)
+    for _ in range(2):
+        for n in range(2, 5):
+            build_boolean_pw4(n)
+    assert len(calls) == 3
 
 
 # -- the walk ------------------------------------------------------------------------

@@ -295,3 +295,22 @@ def test_verify_reports_a_short_reference_walk(capsys, monkeypatch):
     report = json.loads(lines[0])
     assert report["name"] == "boolean" and report["passed"] is False
     assert report["counterexample"]["n"] == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(ascentlab.__file__).resolve().parents[1]
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ascentlab", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    done = module("--version")
+    assert done.returncode == 0 and done.stdout.strip() == f"ascentlab {ascentlab.__version__}"
+    done = module("verify", "--check", "nope")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

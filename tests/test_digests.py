@@ -5,6 +5,8 @@ Each builder digest is the sha256 of the JSON the builder's output serialises
 to: the instance document for `2by3` and `3by5`; for `bool-pw4` the instance,
 codec and decomposition documents and the start, as one JSON list.  Any
 change to a label, a scope, a table entry or the constraint order shows.
+The builders share each position's rows between builds of every n, so the
+pins are also checked after building in descending n.
 
 Each walk digest is the sha256 of `trace_to_json` of a recorded
 first-improvement walk from the family's canonical start, so any change to
@@ -32,6 +34,8 @@ from ascentlab import (
     instance_to_json,
     trace_to_json,
 )
+from ascentlab import constructions
+from ascentlab.constructions import FAMILIES
 from ascentlab.model import decomposition_to_json
 from ascentlab.verification import run_all
 
@@ -54,6 +58,9 @@ DIGESTS = {
     ("bool-pw4", 5): "335248ca1672e6ad1fa1b86ed05e83319da9a25598bdeca853ef8522dc1763ed",
     ("bool-pw4", 8): "cb3323e90298c6f2fa5d82ac551934950e63d3ba8a171709519c808f827c8d8c",
     ("bool-pw4", 13): "ba05a122995835e9e8f04cfadb7d3fdbe8769ff9f3501736936ba48fdb110f06",
+    ("2by3", 60): "74884106975a6581123460136f8acd64855acf5ba95103c13624cf5ad42227fe",
+    ("3by5", 60): "02749a8d3e595d4161a1ad784d2f8403b7c92dd963600c233fb7567da9049472",
+    ("bool-pw4", 200): "4c6bbc289b30fb46d1580b5d0d5130265035d6aeba812e9fd1a50d50c50781e3",
 }
 
 
@@ -66,10 +73,26 @@ def _document(family: str, n: int):
     return [instance_to_json(inst), codec.to_json(), decomposition_to_json(decomp), list(start)]
 
 
+def _digest(family: str, n: int) -> str:
+    return hashlib.sha256(json.dumps(_document(family, n)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("family,n", list(DIGESTS), ids=[f"{f}-{n}" for f, n in DIGESTS])
 def test_builder_output_is_pinned(family, n):
-    text = json.dumps(_document(family, n))
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[family, n]
+    assert _digest(family, n) == DIGESTS[family, n]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_builds_in_descending_n_keep_their_pins(family):
+    # The builders share each position's rows between builds of every n, so
+    # rows first made for a longer chain must leave a shorter one unchanged.
+    for cached in vars(constructions).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    for n in range(30, 1, -1):
+        build_family(family, n)
+    for n in (2, 5, 13):
+        assert _digest(family, n) == DIGESTS[family, n]
 
 
 FIRST_DIGESTS = {
