@@ -28,13 +28,12 @@ import csv
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .model import InvalidAssignmentError
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One applied move: variable, source state, target state, fitness after."""
 
     var: int

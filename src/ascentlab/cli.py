@@ -44,6 +44,10 @@ EXIT_STEP_LIMIT = 3
 # Older scripted names for two of the checks.
 _CHECK_ALIASES = {"prop11": "ordered-length", "theorem8": "simulation"}
 
+# Every line break `str.splitlines` knows, escaped, so that an error message
+# quoting a label or a path from the input stays on one line.
+_ONE_LINE = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -273,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
     except (ModelError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")
 

@@ -426,11 +426,15 @@ class ExpandedLandscape:
             y[k] = u
             fu = self.base.fitness(y)
             y[k] = v
-            fv = self.base.fitness(y)
-            if fu == fv:
-                return self.scale * fu
-            return self.bonus[k] + self.scale * min(fu, fv)
+            return self._one_intermediate(k, fu, self.base.fitness(y))
         return self.scale * self._min_completion(x, inter)
+
+    def _one_intermediate(self, k: int, fu: int, fv: int) -> int:
+        """Padded fitness of a state whose only intermediate is at variable
+        k, from the base fitness of its two completions."""
+        if fu == fv:
+            return self.scale * fu
+        return self.bonus[k] + self.scale * min(fu, fv)
 
     def pair_ceiling(self, x: Sequence[int]) -> int:
         """The two-intermediate fitness ceiling for an assignment with exactly
@@ -493,19 +497,23 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
 
     Every base step u->v at variable k becomes two steps through the
     intermediate state between u and v, with fitness taken from the expanded
-    landscape.
+    landscape.  The base fitness of each main state is computed from scratch
+    once, and it gives the padded fitness of the main state and of the
+    intermediate step into the next one.
     """
     if trace.steps is None:
         raise BuildError("simulate_ascent needs a trace with recorded steps")
+    base, scale = landscape.base, landscape.scale
     x = list(trace.start)
+    f_before = base.fitness(x)
     steps: list[StepRecord] = []
-    for rec in trace.steps:
-        k, u, v = rec.var, rec.src, rec.dst
+    for k, u, v, _ in trace.steps:
         sid = landscape.emap.doms[k].sigma_id(u, v)
-        x[k] = sid
-        steps.append(StepRecord(k, u, sid, landscape.fitness(x)))
         x[k] = v
-        steps.append(StepRecord(k, sid, v, landscape.fitness(x)))
+        f_after = base.fitness(x)
+        steps.append(StepRecord(k, u, sid, landscape._one_intermediate(k, f_before, f_after)))
+        steps.append(StepRecord(k, sid, v, scale * f_after))
+        f_before = f_after
     final = tuple(x)
     return AscentTrace(
         start=tuple(trace.start),
@@ -516,7 +524,7 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
         tie_steps=0,
         ambiguous_steps=0,
         final=final,
-        final_fitness=landscape.fitness(final),
+        final_fitness=scale * f_before,
     )
 
 

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class ModelError(ValueError):
@@ -74,21 +74,27 @@ class DomainSpec:
         return ((u, v) if u < v else (v, u)) in self.transitions
 
 
-@dataclass(frozen=True)
-class ValuedConstraint:
-    """A scope of distinct variables plus a dense integer value tensor.
-
-    The tensor is flattened row-major in scope order: the first scope variable
-    has the largest stride, the last scope variable has stride 1.
-    """
-
+# ValuedConstraint's fields; a NamedTuple cannot define its own __new__, so
+# the subclass below adds the one that turns scope and values into tuples.
+class _ConstraintFields(NamedTuple):
     scope: tuple[int, ...]
     values: tuple[int, ...]
     label: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scope", tuple(self.scope))
-        object.__setattr__(self, "values", tuple(self.values))
+
+class ValuedConstraint(_ConstraintFields):
+    """A scope of distinct variables plus a dense integer value tensor.
+
+    The tensor is flattened row-major in scope order: the first scope variable
+    has the largest stride, the last scope variable has stride 1.  A
+    constraint is a tuple of its fields, so it equals the plain tuple
+    `(scope, values, label)`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, scope: Sequence[int], values: Sequence[int], label: str = ""):
+        return tuple.__new__(cls, (tuple(scope), tuple(values), label))
 
     @property
     def arity(self) -> int:
@@ -208,19 +214,26 @@ class VcspInstance:
         defects: list[str] = []
         n = self.n_vars
         size_of = self._sizes.__getitem__  # type: ignore[attr-defined]
+        # {scope: tensor length} for the scopes found sound so far in this call
+        sound: dict[tuple[int, ...], int] = {}
         for ci, c in enumerate(self.constraints):
-            who = c.label or f"constraint #{ci}"
             scope = c.scope
+            if sound.get(scope) == len(c.values):
+                continue
+            who = c.label or f"constraint #{ci}"
             if len(scope) == 0:
                 defects.append(f"{who}: empty scope")
                 continue
-            if len(set(scope)) != len(scope):
+            repeats = len(set(scope)) != len(scope)
+            if repeats:
                 defects.append(f"{who}: scope {scope} repeats a variable")
             if min(scope) < 0 or max(scope) >= n:
                 bad = [v for v in scope if not (0 <= v < n)]
                 defects.append(f"{who}: scope refers to unknown variable(s) {bad}")
                 continue
             expected = math.prod(map(size_of, scope))
+            if not repeats:
+                sound[scope] = expected
             if len(c.values) != expected:
                 defects.append(
                     f"{who}: tensor has {len(c.values)} entries, expected {expected}"
@@ -338,7 +351,13 @@ def check_path_decomposition(
             var_bags.setdefault(v, []).append(bi)
 
     bag_sets = {v: set(bs) for v, bs in var_bags.items()}
+    # Coverage depends on the scope alone, so each distinct scope is tested
+    # once, at its first constraint, which is the one a failure names.
+    seen: set[tuple[int, ...]] = set()
     for c in instance.constraints:
+        if c.scope in seen:
+            continue
+        seen.add(c.scope)
         covering: set[int] | None = None
         for v in c.scope:
             s = bag_sets.get(v)

@@ -291,7 +291,11 @@ def check_simulation(n_max: int = 14, verify_max: int = 10) -> CheckReport:
                     where = {"simulated": _ending(sim), "engine": _ending(eng)}
                 else:
                     i, s, e = diff
-                    where = {"step": i, "simulated": s and vars(s), "engine": e and vars(e)}
+                    where = {
+                        "step": i,
+                        "simulated": s and s._asdict(),
+                        "engine": e and e._asdict(),
+                    }
                 return False, f"n={n}: simulated and engine traces differ", {"n": n, **where}
             if n <= verify_max:
                 bad = verify_steepest(inst, eng)

@@ -54,6 +54,15 @@ def test_steepest_first_step_takes_the_larger_gain():
     assert tr.steps[0] == StepRecord(var=1, src=A, dst=B, fitness_after=3)
 
 
+def test_step_record_is_an_immutable_tuple_of_its_fields():
+    rec = StepRecord(1, A, B, 3)
+    assert rec == (1, A, B, 3) and hash(rec) == hash((1, A, B, 3))
+    assert repr(rec) == "StepRecord(var=1, src=0, dst=1, fitness_after=3)"
+    assert rec._asdict() == {"var": 1, "src": A, "dst": B, "fitness_after": 3}
+    with pytest.raises(AttributeError):
+        rec.var = 2
+
+
 def test_steepest_on_expanded_instance_n2():
     tr = steepest_ascent(build_3by5(2), (A, A))
     assert tr.length == 10 == 2 * f_max(2)

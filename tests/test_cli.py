@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ascentlab
 from ascentlab import build_2by3, f_max, instance_to_json, load_instance
@@ -109,18 +111,22 @@ def test_ascend_flag_conflicts(capsys, tmp_path):
 _REMOVE = object()
 
 
+def _put(doc, path, value=_REMOVE):
+    """Set the entry of `doc` at `path` to `value`, or remove it."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is _REMOVE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
 def _edited(*path, to=_REMOVE):
     """The 2by3 n=2 instance document with the entry at `path` set to `to`,
     or removed."""
     doc = instance_to_json(build_2by3(2))
-    *parents, last = path
-    node = doc
-    for key in parents:
-        node = node[key]
-    if to is _REMOVE:
-        del node[last]
-    else:
-        node[last] = to
+    _put(doc, path, to)
     return doc
 
 
@@ -152,7 +158,7 @@ def _ascend_on_file(tmp_path, capsys, flag, text):
         source = ["--family", "2by3", "--n", "2", "--start", str(path)]
     code, out, err = run(capsys, "ascend", *source)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -165,6 +171,91 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, flag, document):
 @pytest.mark.parametrize("flag", ["--instance", "--start"])
 def test_deeply_nested_input_files_exit_2(tmp_path, capsys, flag):
     _ascend_on_file(tmp_path, capsys, flag, "[" * 100_000 + "]" * 100_000)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _nodes(node, path=()):
+    """(path, value) of every entry below the document root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+# Any text, with line breaks made common.
+TEXT = st.text(max_size=4) | st.text(st.sampled_from("a\n\r\x85\u2028"), max_size=4)
+
+# Keys an instance document cannot do without.
+REQUIRED = (
+    ("version",), ("variables",), ("constraints",), ("variables", 1, "states"),
+    ("constraints", 0, "scope"), ("constraints", 1, "values"),
+)
+
+
+@st.composite
+def malformed_instances(draw):
+    """A JSON document that is not a sound instance: not an object, an entry
+    of the 2by3 n=2 document with another JSON type, a required key missing,
+    or a bad version, scope, tensor, transition or state list.  Names and
+    labels take any text, which alone keeps a document sound."""
+    doc = instance_to_json(build_2by3(2))
+    for entry in doc["variables"]:
+        entry["name"] = draw(TEXT)
+    for entry in doc["constraints"]:
+        entry["label"] = draw(TEXT)
+    var = draw(st.sampled_from(doc["variables"]))
+    constraint = draw(st.sampled_from(doc["constraints"]))
+    size = len(var["states"])
+    kind = draw(st.sampled_from(
+        ("root", "type", "missing", "version", "scope", "tensor", "transition", "states")
+    ))
+    if kind == "root":
+        return draw(JSON.filter(lambda v: not isinstance(v, dict)))
+    if kind == "type":
+        path, old = draw(st.sampled_from(list(_nodes(doc))))
+        _put(doc, path, draw(JSON.filter(lambda v: type(v) is not type(old))))
+    elif kind == "missing":
+        _put(doc, draw(st.sampled_from(REQUIRED)))
+    elif kind == "version":
+        doc["version"] = draw(st.integers().filter(lambda v: v != 1))
+    elif kind == "scope":
+        constraint["scope"] = draw(st.lists(st.integers(-2, 3), max_size=4).filter(
+            lambda s: not s or len(set(s)) < len(s) or min(s) < 0 or max(s) > 1
+        ))
+    elif kind == "tensor":
+        wrong = st.lists(st.integers(), max_size=8)
+        constraint["values"] = draw(wrong.filter(lambda v: len(v) != len(constraint["values"])))
+    elif kind == "transition":
+        pair = st.integers(-2, size + 1)
+        bad = draw(
+            pair.filter(lambda s: 0 <= s < size).map(lambda s: [s, s])
+            | st.lists(pair, min_size=2, max_size=2).filter(
+                lambda p: not all(0 <= s < size for s in p)
+            )
+            | st.lists(pair, max_size=4).filter(lambda p: len(p) != 2)
+        )
+        at = draw(st.integers(0, len(var["transitions"])))
+        var["transitions"].insert(at, bad)
+    else:
+        var["states"].insert(draw(st.integers(0, size)), draw(st.sampled_from(var["states"])))
+    return doc
+
+
+@settings(
+    max_examples=300, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(malformed_instances())
+def test_fuzzed_malformed_instance_files_exit_2(tmp_path, capsys, document):
+    _ascend_on_file(tmp_path, capsys, "--instance", json.dumps(document))
 
 
 def test_oversized_meta_n_exits_2_before_building_a_start(tmp_path):

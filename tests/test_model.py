@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from functools import cached_property
 
@@ -199,6 +200,47 @@ def test_validate_reports_unknown_scope_variable():
     assert any("unknown variable" in d for d in inst.validate())
 
 
+def test_validate_reports_every_constraint_that_shares_a_scope():
+    doms = (
+        DomainSpec(("A", "B"), frozenset({(0, 1)})),
+        DomainSpec(("A", "B", "C"), frozenset({(0, 1), (1, 2)})),
+    )
+    inst = VcspInstance(
+        doms,
+        (
+            ValuedConstraint((0, 1), (0,) * 6, "sound"),
+            ValuedConstraint((0, 1), (0,) * 5, "short"),
+            ValuedConstraint((1, 1), (0,) * 9, "twice"),
+            ValuedConstraint((1, 1), (0,) * 4, "twice-short"),
+            ValuedConstraint((0, 1), (0,) * 6),
+            ValuedConstraint((0, 1), (0,) * 7),
+            ValuedConstraint((1, 1), (0,) * 9, "twice-again"),
+        ),
+    )
+    assert inst.validate() == [
+        "short: tensor has 5 entries, expected 6",
+        "twice: scope (1, 1) repeats a variable",
+        "twice-short: scope (1, 1) repeats a variable",
+        "twice-short: tensor has 4 entries, expected 9",
+        "constraint #5: tensor has 7 entries, expected 6",
+        "twice-again: scope (1, 1) repeats a variable",
+    ]
+
+
+def test_constraint_is_an_immutable_tuple_of_its_fields():
+    c = ValuedConstraint([0, 1], [1, 2, 3, 4])
+    assert type(c.scope) is tuple and type(c.values) is tuple
+    assert c == ((0, 1), (1, 2, 3, 4), "") and hash(c) == hash(((0, 1), (1, 2, 3, 4), ""))
+    assert c.label == "" and c.arity == 2
+    assert repr(c) == "ValuedConstraint(scope=(0, 1), values=(1, 2, 3, 4), label='')"
+    assert ValuedConstraint(scope=[0], values=[5, 6], label="u") == ((0,), (5, 6), "u")
+    assert pickle.loads(pickle.dumps(c)) == c
+    with pytest.raises(AttributeError):
+        c.scope = (1, 0)
+    with pytest.raises(AttributeError):
+        c.weight = 2
+
+
 def _built_tables(inst: VcspInstance) -> set[str]:
     """The names of the instance's evaluation tables that have been built."""
     tables = {
@@ -243,6 +285,23 @@ def test_deleted_bag_is_reported():
     broken = PathDecomposition(decomp.bags[1:])
     report = check_path_decomposition(inst, broken)
     assert not report.ok and "not inside any bag" in report.violation
+
+
+def test_uncovered_shared_scope_is_reported_at_its_first_constraint():
+    doms = tuple(DomainSpec(("A", "B"), frozenset({(0, 1)})) for _ in range(3))
+    inst = VcspInstance(
+        doms,
+        (
+            ValuedConstraint((0, 1), (0,) * 4, "a"),
+            ValuedConstraint((1, 2), (0,) * 4, "b"),
+            ValuedConstraint((0, 1), (0,) * 4, "c"),
+            ValuedConstraint((1, 2), (0,) * 4, "d"),
+        ),
+    )
+    report = check_path_decomposition(
+        inst, PathDecomposition((frozenset({0, 1}), frozenset({2})))
+    )
+    assert report.violation == "scope of b ([1, 2]) is not inside any bag"
 
 
 def test_broken_interval_is_reported():

@@ -16,10 +16,12 @@ from ascentlab import (
     ValuedConstraint,
     VcspInstance,
     exhaustive_steepest_oracle,
+    expand_landscape,
     first_improvement_ascent,
     instance_from_json,
     instance_to_json,
     ordered_ascent,
+    simulate_ascent,
     steepest_ascent,
     verify_ordered,
 )
@@ -214,3 +216,15 @@ def test_delta_equals_the_full_fitness_difference(case):
 def test_json_round_trip_gives_back_the_instance(case):
     inst = case[0]
     assert instance_from_json(json.loads(json.dumps(instance_to_json(inst)))) == inst
+
+
+@PROPERTY
+@given(cases())
+def test_simulated_ascent_takes_its_fitness_from_the_expanded_landscape(case):
+    inst, start, order, _ = case
+    landscape = expand_landscape(inst, order)
+    sim = simulate_ascent(ordered_ascent(inst, start, order=order), landscape)
+    states = list(sim.states())
+    assert sim.fitness_values() == [landscape.fitness(x) for x in states[1:]]
+    assert sim.final == states[-1]
+    assert sim.final_fitness == landscape.fitness(sim.final)

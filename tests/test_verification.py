@@ -216,6 +216,7 @@ def test_a_short_reference_walk_fails_the_simulation_check(truncated_reference):
     cex = report.counterexample
     assert cex["n"] == 2 and cex["step"] == 2 * f_max(2) - 2
     assert cex["simulated"] is None and cex["engine"]["var"] in (0, 1)
+    assert sorted(cex["engine"]) == ["dst", "fitness_after", "src", "var"]
 
 
 def test_a_short_reference_walk_fails_the_boolean_check(truncated_reference):
