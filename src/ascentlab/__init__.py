@@ -24,7 +24,6 @@ from .ascent import (
 from .constructions import (
     BooleanCodec,
     ExpandedLandscape,
-    ExpansionMap,
     build_2by3,
     build_3by5,
     build_boolean_pw4,
@@ -43,7 +42,6 @@ from .model import (
     InvalidAssignmentError,
     ModelError,
     PathDecomposition,
-    TransitionError,
     ValuedConstraint,
     VcspInstance,
     check_path_decomposition,

@@ -333,9 +333,6 @@ class ExpandedDomain:
     def n_main(self) -> int:
         return self.base.size
 
-    def is_main(self, s: int) -> bool:
-        return s < self.base.size
-
     def sigma_id(self, u: int, v: int) -> int:
         pair = (u, v) if u < v else (v, u)
         return self.base.size + self.pairs.index(pair)
@@ -344,27 +341,8 @@ class ExpandedDomain:
         return self.pairs[s - self.base.size]
 
 
-@dataclass(frozen=True)
-class ExpansionMap:
-    """Per-variable expanded domains for an instance."""
-
-    doms: tuple[ExpandedDomain, ...]
-
-    @classmethod
-    def of(cls, instance: VcspInstance) -> "ExpansionMap":
-        return cls(tuple(ExpandedDomain.of(d) for d in instance.domains))
-
-    @property
-    def domains(self) -> tuple[DomainSpec, ...]:
-        return tuple(d.spec for d in self.doms)
-
-
 # The chain's two base domains, expanded once for every build.
 _EXPANDED = {d: ExpandedDomain.of(d) for d in (TWO_STATE, THREE_STATE)}
-
-
-def _expanded_chain(n: int) -> ExpansionMap:
-    return ExpansionMap(tuple(_EXPANDED[d] for d in _chain_domains(n)))
 
 
 class ExpandedLandscape:
@@ -381,16 +359,16 @@ class ExpandedLandscape:
 
     def __init__(self, base: VcspInstance, order: Sequence[int] | None = None):
         self.base = base
-        self.emap = ExpansionMap.of(base)
+        self.doms = tuple(map(ExpandedDomain.of, base.domains))
         n = base.n_vars
         self.order = tuple(order) if order is not None else tuple(range(n))
         if sorted(self.order) != list(range(n)):
             raise BuildError("order must be a permutation of the variables")
         self.n_vars = n
         self.scale = 2 * n + 1
-        self.domains = self.emap.domains
+        self.domains = tuple(d.spec for d in self.doms)
         self._sizes = tuple(d.size for d in self.domains)
-        self._n_main = tuple(d.n_main for d in self.emap.doms)
+        self._n_main = tuple(d.n_main for d in self.doms)
         # bonus[k] = n - (1-based rank of k in the order) + 1
         rank = {k: i for i, k in enumerate(self.order)}
         self.bonus = tuple(n - rank[k] for k in range(n))
@@ -406,7 +384,7 @@ class ExpandedLandscape:
         in `inter` by one of its two flanking main states."""
         y = list(x)
         best = None
-        for combo in itertools.product(*(self.emap.doms[k].pair_of(x[k]) for k in inter)):
+        for combo in itertools.product(*(self.doms[k].pair_of(x[k]) for k in inter)):
             for k, w in zip(inter, combo):
                 y[k] = w
             f = self.base.fitness(y)
@@ -422,7 +400,7 @@ class ExpandedLandscape:
         if len(inter) == 1:
             k = inter[0]
             y = list(x)
-            u, v = self.emap.doms[k].pair_of(x[k])
+            u, v = self.doms[k].pair_of(x[k])
             y[k] = u
             fu = self.base.fitness(y)
             y[k] = v
@@ -508,7 +486,7 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
     f_before = base.fitness(x)
     steps: list[StepRecord] = []
     for k, u, v, _ in trace.steps:
-        sid = landscape.emap.doms[k].sigma_id(u, v)
+        sid = landscape.doms[k].sigma_id(u, v)
         x[k] = v
         f_after = base.fitness(x)
         steps.append(StepRecord(k, u, sid, landscape._one_intermediate(k, f_before, f_after)))
@@ -569,7 +547,7 @@ def build_3by5(n: int) -> VcspInstance:
     unary bonus, so single-intermediate assignments take the padded value
     exactly.
     """
-    domains = _expanded_chain(n).domains
+    domains = tuple(_EXPANDED[d].spec for d in _chain_domains(n))
     constraints = _assemble([_3by5_rows(k, k == n) for k in _chain_positions(n)], 2 * n + 1)
     inst = VcspInstance(domains, constraints, family="3by5", base_n=n)
     return _finish(inst, f"build_3by5({n})")
@@ -753,10 +731,6 @@ def _pw4_rows(k: int, closing: bool) -> _Rows:
     return _Rows(groups, _pw4_collection(k), names, tuple(bags))
 
 
-# Each n <= 4 whose build passed the exhaustive self-check in this process.
-_PW4_CHECKED: set[int] = set()
-
-
 def build_boolean_pw4(
     n: int,
 ) -> tuple[VcspInstance, BooleanCodec, PathDecomposition, tuple[int, ...]]:
@@ -789,15 +763,7 @@ def build_boolean_pw4(
     )
     inst = _finish(inst, f"build_boolean_pw4({n})")
     decomp = PathDecomposition(tuple(itertools.chain.from_iterable(c.bags for c in cells)))
-    start = codec.encode(tuple(0 for _ in range(n)))
-
-    if n <= 4 and n not in _PW4_CHECKED:
-        problem = pw4_equivalence_violation(inst, codec, ExpandedLandscape(build_2by3(n)))
-        if problem is not None:
-            raise BuildError(f"build_boolean_pw4({n}) self-check failed: {problem}")
-        _PW4_CHECKED.add(n)
-
-    return inst, codec, decomp, start
+    return inst, codec, decomp, canonical_start("bool-pw4", n)
 
 
 def pw4_equivalence_violation(
@@ -839,14 +805,10 @@ FAMILIES = ("2by3", "3by5", "bool-pw4")
 def canonical_start(family: str, n: int) -> tuple[int, ...]:
     """The all-A start of each family (bit-encoded for the Boolean family)."""
     if family in ("2by3", "3by5"):
-        if n < 2:
-            raise BuildError(f"need n >= 2, got {n}")
-        return tuple(0 for _ in range(n))
+        return (0,) * len(_chain_positions(n))
     if family == "bool-pw4":
-        bits: list[int] = []
-        for k in range(1, n + 1):
-            bits.extend((1, 0) if k % 2 == 1 else (1, 0, 0))
-        return tuple(bits)
+        codec = BooleanCodec(tuple(map(_pw4_collection, _chain_positions(n))))
+        return codec.encode((0,) * n)
     raise BuildError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 

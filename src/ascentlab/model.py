@@ -26,10 +26,6 @@ class InvalidAssignmentError(ModelError):
     """Assignment has the wrong length or an out-of-range state."""
 
 
-class TransitionError(ModelError):
-    """Requested single-variable move is not permitted by the relation."""
-
-
 class BuildError(ModelError):
     """Instance construction failed (bad parameters, malformed input, defects)."""
 
@@ -267,24 +263,6 @@ class VcspInstance:
                 base += x[var] * st
             d += values[base + v * stk] - values[base + s * stk]
         return d
-
-    def delta_fitness(self, x: Sequence[int], k: int, v: int) -> int:
-        """fitness(x with x_k := v) - fitness(x), touching only constraints on k.
-
-        The move must be permitted by the transition relation (or v == x_k,
-        which yields 0).
-        """
-        self.check_assignment(x)
-        if not (0 <= k < self.n_vars):
-            raise InvalidAssignmentError(f"variable {k} out of range")
-        s = x[k]
-        if v == s:
-            return 0
-        if not (0 <= v < self.sizes[k]):
-            raise InvalidAssignmentError(f"state {v} out of range for variable {k}")
-        if not self.domains[k].allows(s, v):
-            raise TransitionError(f"move {s}->{v} at variable {k} is not permitted")
-        return self._delta(x, k, s, v)
 
     def neighbors(self, x: Sequence[int]) -> list[tuple[int, int]]:
         """Permitted single-variable moves (k, v), ascending by (k, v)."""

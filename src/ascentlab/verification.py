@@ -232,7 +232,7 @@ def _ending(trace: AscentTrace) -> dict:
     }
 
 
-def check_ordered_length(n_max: int = 20) -> CheckReport:
+def check_ordered_length(n_max: int) -> CheckReport:
     """The ordered ascent from all-A walks through every fitness value: its
     length is exactly the instance maximum, every gain is exactly 1, and the
     improving state at the chosen variable is always unique."""
@@ -268,7 +268,7 @@ def check_ordered_length(n_max: int = 20) -> CheckReport:
     return _timed("ordered-length", {"n_max": n_max}, body)
 
 
-def check_simulation(n_max: int = 14, verify_max: int = 10) -> CheckReport:
+def check_simulation(n_max: int, verify_max: int) -> CheckReport:
     """Steepest ascent on the expanded instance reproduces the doubled base
     ordered ascent move for move, with a unique argmax at every step."""
 
@@ -327,7 +327,7 @@ def padding_violation(instance: VcspInstance, landscape: ExpandedLandscape) -> d
     return None
 
 
-def check_padding(n_max: int = 6) -> CheckReport:
+def check_padding(n_max: int) -> CheckReport:
     """Exhaustive padding-rule check of the expanded instance."""
 
     def body():
@@ -341,7 +341,7 @@ def check_padding(n_max: int = 6) -> CheckReport:
     return _timed("padding", {"n_max": n_max}, body)
 
 
-def check_boolean(n_equiv: int = 4, n_traj: int = 12) -> CheckReport:
+def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
     """Boolean instance: exhaustive fitness equivalence at small n, and the
     steepest ascent from the canonical start decodes to the simulated walk."""
 
@@ -382,7 +382,7 @@ def check_boolean(n_equiv: int = 4, n_traj: int = 12) -> CheckReport:
     return _timed("boolean", {"n_equiv": n_equiv, "n_traj": n_traj}, body)
 
 
-def check_pathwidth(n_max: int = 200) -> CheckReport:
+def check_pathwidth(n_max: int) -> CheckReport:
     """Every built Boolean instance has max constraint arity 5 and its
     canonical decomposition checks out at width exactly 4."""
 

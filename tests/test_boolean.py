@@ -8,8 +8,10 @@ import itertools
 import pytest
 
 from ascentlab import (
+    BuildError,
     build_2by3,
     build_boolean_pw4,
+    canonical_start,
     check_path_decomposition,
     decode_assignment,
     expand_landscape,
@@ -18,7 +20,6 @@ from ascentlab import (
     simulate_ascent,
     steepest_ascent,
 )
-from ascentlab import constructions
 from ascentlab.constructions import pw4_equivalence_violation
 
 A, B, C = 0, 1, 2
@@ -178,19 +179,10 @@ def test_master_invariant_exhaustive(n):
     assert pw4_equivalence_violation(inst, codec, landscape) is None
 
 
-def test_build_self_check_runs_once_per_n(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return pw4_equivalence_violation(*args)
-
-    monkeypatch.setattr(constructions, "_PW4_CHECKED", set())
-    monkeypatch.setattr(constructions, "pw4_equivalence_violation", counted)
-    for _ in range(2):
-        for n in range(2, 5):
-            build_boolean_pw4(n)
-    assert len(calls) == 3
+@pytest.mark.parametrize("n", [0, 1])
+def test_canonical_start_needs_two_positions(n):
+    with pytest.raises(BuildError, match=f"need n >= 2, got {n}"):
+        canonical_start("bool-pw4", n)
 
 
 # -- the walk ------------------------------------------------------------------------

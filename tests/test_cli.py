@@ -130,6 +130,18 @@ def _edited(*path, to=_REMOVE):
     return doc
 
 
+def _bits(n, count):
+    """A document of `count` bits with no constraints, tagged bool-pw4 of
+    length n."""
+    bit = {"states": ["0", "1"], "transitions": [[0, 1]]}
+    return {
+        "version": 1,
+        "meta": {"family": "bool-pw4", "n": n},
+        "variables": [bit] * count,
+        "constraints": [],
+    }
+
+
 MALFORMED_INPUTS = {
     "instance-is-a-list": ("--instance", [instance_to_json(build_2by3(2))]),
     "instance-without-variables": ("--instance", _edited("variables")),
@@ -144,7 +156,15 @@ MALFORMED_INPUTS = {
     "start-is-a-number": ("--start", 5),
     "start-labels-too-long": ("--start", ["A", "B", "A"]),
     "fractional-start": ("--start", [0, 1.5]),
+    "bool-pw4-of-length-0": ("--instance", _bits(0, 0)),
+    "bool-pw4-of-length-1": ("--instance", _bits(1, 2)),
 }
+
+
+def _assert_usage_error(code, out, err):
+    """Exit 2, nothing on stdout and one `error:` line on stderr."""
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
 
 
 def _ascend_on_file(tmp_path, capsys, flag, text):
@@ -156,9 +176,7 @@ def _ascend_on_file(tmp_path, capsys, flag, text):
         source = ["--instance", str(path)]
     else:
         source = ["--family", "2by3", "--n", "2", "--start", str(path)]
-    code, out, err = run(capsys, "ascend", *source)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+    _assert_usage_error(*run(capsys, "ascend", *source))
 
 
 @pytest.mark.parametrize(
@@ -256,6 +274,38 @@ def malformed_instances(draw):
 @given(malformed_instances())
 def test_fuzzed_malformed_instance_files_exit_2(tmp_path, capsys, document):
     _ascend_on_file(tmp_path, capsys, "--instance", json.dumps(document))
+
+
+# A start value for 2by3 n=3: a state id in range or not, a label of some
+# domain or of none, or any other JSON.
+START_VALUE = st.integers(-1, 3) | st.integers() | st.sampled_from(("A", "B", "C", "sAB")) | JSON
+# Start lists of any length, of the right length, and sound ones.
+START_LIST = (
+    st.lists(START_VALUE, max_size=5)
+    | st.lists(START_VALUE, min_size=3, max_size=3)
+    | st.lists(st.integers(0, 1) | st.sampled_from(("A", "B")), min_size=3, max_size=3)
+)
+START = (
+    START_LIST
+    | st.fixed_dictionaries({"values": START_LIST | JSON}, optional={"states": JSON})
+    | JSON
+)
+
+
+@settings(
+    max_examples=300, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(START)
+def test_fuzzed_start_files_run_or_exit_2(tmp_path, capsys, document):
+    path = tmp_path / "start.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "ascend", "--family", "2by3", "--n", "3", "--start", str(path))
+    if code == 2:
+        _assert_usage_error(code, out, err)
+    else:
+        assert code in (0, 3) and err == ""
+        assert len(out.splitlines()) == 1 and json.loads(out)["n"] == 3
 
 
 def test_oversized_meta_n_exits_2_before_building_a_start(tmp_path):

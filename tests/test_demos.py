@@ -1,4 +1,5 @@
-"""The demos run to completion against the public API.
+"""The demos run to completion against the public API and print the claims
+they demonstrate as holding.
 
 Each runs in a fresh interpreter, as a reader would run it.  The first demo
 is left out: its n=40 walk takes about ten seconds and repeats the
@@ -18,11 +19,18 @@ import ascentlab
 
 SRC = Path(ascentlab.__file__).resolve().parents[1]
 DEMOS = SRC.parent / "demos"
-QUICK_DEMOS = (
-    "02_steepest_simulation.py",
-    "03_boolean_pathwidth_four.py",
-    "04_no_additive_split.py",
-)
+# Each quick demo with the lines it must print, stripped of indentation.
+QUICK_DEMOS = {
+    "02_steepest_simulation.py": (
+        "traces identical: True",
+        "independent full-neighborhood verification: True",
+    ),
+    "03_boolean_pathwidth_four.py": (
+        "decoded walk equals the predicted simulation: True",
+        "without it (n=2): two-intermediate ceiling broken at bits=(0, 0, 0, 1, 1): 18 > 13",
+    ),
+    "04_no_additive_split.py": ("split feasible: False",),
+}
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)
@@ -35,4 +43,6 @@ def test_demo_runs(name):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout
+    printed = {line.strip() for line in done.stdout.splitlines()}
+    for claim in QUICK_DEMOS[name]:
+        assert claim in printed, done.stdout

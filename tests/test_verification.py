@@ -227,6 +227,25 @@ def test_a_short_reference_walk_fails_the_boolean_check(truncated_reference):
     assert cex["expected"] is None and len(cex["decoded"]) == 2
 
 
+def test_a_broken_equivalence_fails_the_boolean_check(monkeypatch):
+    real = verification.build_boolean_pw4
+
+    def bumped(n):
+        inst, codec, decomp, start = real(n)
+        if n == 3:
+            label = next(c.label for c in inst.constraints if c.label.startswith("U~"))
+            inst = with_bumped_constraint(inst, label)
+        return inst, codec, decomp, start
+
+    monkeypatch.setattr(verification, "build_boolean_pw4", bumped)
+    report = check_boolean(4, 4)
+    assert not report.passed
+    assert report.counterexample == {
+        "n": 3,
+        "violation": "two-intermediate ceiling broken at bits=(0, 0, 0, 0, 1, 0, 0): 33 > 32",
+    }
+
+
 def test_tampered_decomposition_is_detected():
     inst, _, decomp, _ = build_boolean_pw4(4)
     report = check_path_decomposition(inst, PathDecomposition(decomp.bags[1:]))
