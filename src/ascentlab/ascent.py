@@ -11,15 +11,19 @@ picks the next move.
 Steepest and ordered ascent read each variable's best move from one per-walk
 helper, `_Blankets`.  A variable's best move depends only on its own state
 and its blanket `var_neighbors(k)`, so the helper memoises it under an
-incrementally updated key over those states: ordered ascent makes one lookup
-per scan position, and steepest ascent caches one entry per variable and
-refreshes only the moved variable and its blanket.  The expanded landscape's
-blanket is every other variable, so there the memo is never reused and
-steepest rescans every variable.  First-improvement ascent calls `_delta`
-directly, one move at a time: it keeps each variable's permitted moves,
-rebuilds only the moved variable's list, and draws its random scan order
-lazily, so a step pays only for the moves it tests.  The verifiers re-derive everything from
-scratch with full fitness evaluations so they catch delta and memo bugs.
+incrementally updated key over those states.  Ordered ascent memoises whole
+moves: the key includes the variable's own state, so an improving key also
+fixes the key increments its move causes, and a step replays a stored record
+after one lookup per scan position.  Steepest ascent caches one plain entry
+per variable and refreshes only the moved variable and its blanket; it
+applies few of the entries it caches, so it stores no moves.  The expanded
+landscape's blanket is every other variable, so there the memo is never
+reused and steepest rescans every variable.  First-improvement ascent calls
+`_delta` directly, one move at a time: it keeps each variable's permitted
+moves, rebuilds only the moved variable's list, and draws its random scan
+order lazily, so a step pays only for the moves it tests.  The verifiers
+re-derive everything from scratch with full fitness evaluations so they
+catch delta and memo bugs.
 """
 
 from __future__ import annotations
@@ -140,7 +144,8 @@ class _Blankets:
 
     k's entry depends only on its own state and the states of its blanket
     `var_neighbors(k)`.  `keys[k]` is a mixed-radix key over those states,
-    and `memos[k]` maps a key to its entry and fills as the walk visits keys.
+    and `memos[k]` maps a key to what the engine stores for it (an entry for
+    steepest, a move record for ordered) and fills as the walk visits keys.
     After x[k] goes from s to t, the caller adds `(t - s) * w` to `keys[d]`
     for every `(d, w)` in `deps[k]`; `touched[k]` lists those d, the
     variables whose entry may have changed.
@@ -268,24 +273,34 @@ def _order_positions(landscape, order: Sequence[int] | None) -> tuple[tuple[int,
 
 
 def _ordered_moves(landscape, x: list[int], order: tuple[int, ...], back: list[int]):
+    """Ordered ascent's moves.  An improving key fixes k's state s and target
+    t, so its memo record is the tuple `_walk` consumes plus the key increments
+    `(d, (t - s) * w)` for `(d, w)` in `deps[k]`; a non-improving key stores `()`.
+    Every improving record found is applied; steepest ascent applies few of its
+    entries, so it keeps plain ones."""
     b = _Blankets(landscape, x)
     scan, keys, deps, memos = b.scan, b.keys, b.deps, b.memos
     n = len(order)
     p = 0
     while p < n:
         k = order[p]
-        e = memos[k].get(keys[k])
-        if e is None:
-            e = memos[k][keys[k]] = scan(k)
-        g, t, _, improving = e
-        if t < 0:
+        rec = memos[k].get(keys[k])
+        if rec:
+            move, increments = rec
+            yield move
+            for d, inc in increments:
+                keys[d] += inc
+            p = back[k]
+        elif rec is None:
+            # A miss stores k's record; the next pass replays it.
+            g, t, _, improving = scan(k)
+            diff = t - x[k]
+            memos[k][keys[k]] = (
+                ((k, t, g, False, improving > 1), tuple((d, diff * w) for d, w in deps[k]))
+                if t >= 0 else ()
+            )
+        else:
             p += 1
-            continue
-        diff = t - x[k]
-        yield k, t, g, False, improving > 1
-        for d, w in deps[k]:
-            keys[d] += diff * w
-        p = back[k]
 
 
 def ordered_ascent(

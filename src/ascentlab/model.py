@@ -197,7 +197,7 @@ class VcspInstance:
 
     @property
     def max_arity(self) -> int:
-        return max((c.arity for c in self.constraints), default=0)
+        return max(map(len, map(operator.itemgetter(0), self.constraints)), default=0)
 
     def var_neighbors(self, k: int) -> tuple[int, ...]:
         """Variables sharing at least one constraint with k."""

@@ -343,7 +343,8 @@ def check_padding(n_max: int) -> CheckReport:
 
 def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
     """Boolean instance: exhaustive fitness equivalence at small n, and the
-    steepest ascent from the canonical start decodes to the simulated walk."""
+    steepest ascent from the canonical start decodes to the simulated walk
+    with 3 * 2^h - 3 tied steps for even n and 2^(h+2) - 3 for odd n, h = n // 2."""
 
     def body():
         for n in range(2, n_equiv + 1):
@@ -376,6 +377,14 @@ def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
                     "step": diff[0],
                     "got": diff[1],
                     "expected": diff[2],
+                }
+            h = n // 2
+            ties = 3 * 2**h - 3 if n % 2 == 0 else 2 ** (h + 2) - 3
+            if eng.tie_steps != ties:
+                return False, f"n={n}: {eng.tie_steps} tied steps != {ties}", {
+                    "n": n,
+                    "tie_steps": eng.tie_steps,
+                    "expected": ties,
                 }
         return True, "boolean fitness equivalence and decoded replay hold", None
 

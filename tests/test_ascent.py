@@ -83,6 +83,45 @@ def test_engines_on_the_expanded_landscape(n):
     assert traces_equivalent(steep, oracle) and oracle.tie_steps == 0
 
 
+@pytest.mark.parametrize("n,length", [(2, 10), (3, 20), (4, 44), (5, 70)])
+def test_ordered_on_the_expanded_landscape(n, length):
+    # Every other variable is in each blanket, so a move record's key
+    # increments span the whole assignment.
+    landscape = expand_landscape(build_2by3(n))
+    full = ordered_ascent(landscape, (A,) * n)
+    summary = ordered_ascent(landscape, (A,) * n, record_steps=False)
+    assert full.length == length and full.terminal
+    assert verify_ordered(landscape, full) is None
+    assert [getattr(summary, f) for f in SUMMARY_FIELDS] == [
+        getattr(full, f) for f in SUMMARY_FIELDS
+    ]
+
+
+class _CountingDeltas:
+    """Delegates to a landscape and counts its `_delta` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def _delta(self, x, k, s, t):
+        self.calls += 1
+        return self.inner._delta(x, k, s, t)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_ordered_walk_scans_each_move_once(n):
+    # The walk repeats its local configurations: every step after the first
+    # visit of a key replays a stored move, so the scans stay linear in n.
+    landscape = _CountingDeltas(build_2by3(n))
+    tr = ordered_ascent(landscape, canonical_start("2by3", n), record_steps=False)
+    assert tr.length == f_max(n) and tr.terminal
+    assert landscape.calls == 7 * n - 4
+
+
 def test_ordered_prefers_the_earliest_variable():
     tr = ordered_ascent(build_2by3(2), (A, A))
     assert tr.steps[0] == StepRecord(var=0, src=A, dst=B, fitness_after=1)

@@ -246,6 +246,33 @@ def test_a_broken_equivalence_fails_the_boolean_check(monkeypatch):
     }
 
 
+def test_a_changed_tie_count_fails_the_boolean_check(monkeypatch):
+    real = verification.steepest_ascent
+
+    def one_more_tie(inst, start):
+        trace = real(inst, start)
+        if len(start) == 7:  # n = 3
+            trace = dataclasses.replace(trace, tie_steps=trace.tie_steps + 1)
+        return trace
+
+    monkeypatch.setattr(verification, "steepest_ascent", one_more_tie)
+    report = check_boolean(2, 4)
+    assert not report.passed
+    assert report.counterexample == {"n": 3, "tie_steps": 6, "expected": 5}
+
+
+def test_a_passing_boolean_report_keeps_its_keys():
+    data = check_boolean(2, 4).to_json()
+    del data["runtime_s"]
+    assert data == {
+        "name": "boolean",
+        "params": {"n_equiv": 2, "n_traj": 4},
+        "passed": True,
+        "details": "boolean fitness equivalence and decoded replay hold",
+        "counterexample": None,
+    }
+
+
 def test_tampered_decomposition_is_detected():
     inst, _, decomp, _ = build_boolean_pw4(4)
     report = check_path_decomposition(inst, PathDecomposition(decomp.bags[1:]))
