@@ -109,12 +109,14 @@ def _walk(
     tie_steps = 0
     ambiguous_steps = 0
     terminal = True
+    # Records are made directly, without the named tuple's Python-level __new__.
+    new = tuple.__new__
     for k, t, gain, tied, ambiguous in moves(x):
         if length == limit:
             terminal = False
             break
         if steps is not None:
-            steps.append(StepRecord(k, x[k], t, f + gain))
+            steps.append(new(StepRecord, (k, x[k], t, f + gain)))
         x[k] = t
         f += gain
         length += 1
@@ -412,42 +414,55 @@ def _replayed_states(landscape, trace: AscentTrace) -> list[tuple[int, ...]] | A
     return states
 
 
-def verify_ascent(landscape, trace: AscentTrace) -> AscentViolation | None:
-    """Adjacency, permitted moves, strict fitness increase, terminal condition.
-
-    All fitness values are recomputed from scratch.
-    """
+def _checked_walk(
+    landscape, trace: AscentTrace
+) -> tuple[list[tuple[int, ...]], list[int]] | AscentViolation:
+    """`verify_ascent`'s checks; when they pass, the replayed states and
+    their fitness values, each recomputed from scratch."""
     states = _replayed_states(landscape, trace)
     if isinstance(states, AscentViolation):
         return states
-    prev = landscape.fitness(states[0])
+    fits = [landscape.fitness(states[0])]
     for i, rec in enumerate(trace.steps or ()):
         f = landscape.fitness(states[i + 1])
         if f != rec.fitness_after:
             return AscentViolation(
                 i, f"recorded fitness {rec.fitness_after} != actual {f}"
             )
-        if f <= prev:
-            return AscentViolation(i, f"fitness did not strictly increase ({prev} -> {f})")
-        prev = f
+        if f <= fits[-1]:
+            return AscentViolation(i, f"fitness did not strictly increase ({fits[-1]} -> {f})")
+        fits.append(f)
     if trace.final != states[-1]:
         return AscentViolation(len(states) - 2, "final assignment does not match replay")
     if trace.terminal and not landscape.is_local_solution(states[-1]):
         return AscentViolation(
             len(states) - 1, "terminal trace does not end at a local solution"
         )
-    return None
+    return states, fits
+
+
+def verify_ascent(landscape, trace: AscentTrace) -> AscentViolation | None:
+    """Adjacency, permitted moves, strict fitness increase, terminal condition.
+
+    All fitness values are recomputed from scratch.
+    """
+    walk = _checked_walk(landscape, trace)
+    return walk if isinstance(walk, AscentViolation) else None
 
 
 def verify_steepest(landscape, trace: AscentTrace) -> AscentViolation | None:
-    """Every step must reach the maximum fitness over the full neighborhood."""
-    basic = verify_ascent(landscape, trace)
-    if basic is not None:
-        return basic
-    states = list(trace.states())
+    """Every step must reach the maximum fitness over the full neighborhood.
+
+    The chosen states' fitness values are the ones `verify_ascent`'s checks
+    recomputed; every neighbour's is computed from scratch.
+    """
+    walk = _checked_walk(landscape, trace)
+    if isinstance(walk, AscentViolation):
+        return walk
+    states, fits = walk
     for i in range(len(states) - 1):
         x = states[i]
-        chosen = landscape.fitness(states[i + 1])
+        chosen = fits[i + 1]
         y = list(x)
         for k, t in landscape.neighbors(x):
             s = y[k]
@@ -468,14 +483,14 @@ def verify_ordered(
 ) -> AscentViolation | None:
     """No variable earlier in the order may have had an improving move."""
     order = _checked_order(len(landscape.domains), order)
-    basic = verify_ascent(landscape, trace)
-    if basic is not None:
-        return basic
+    walk = _checked_walk(landscape, trace)
+    if isinstance(walk, AscentViolation):
+        return walk
+    states, fits = walk
     pos = {k: i for i, k in enumerate(order)}
-    states = list(trace.states())
     for i, rec in enumerate(trace.steps or ()):
         x = states[i]
-        fx = landscape.fitness(x)
+        fx = fits[i]
         y = list(x)
         for j in order:
             if pos[j] >= pos[rec.var]:

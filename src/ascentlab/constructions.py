@@ -258,7 +258,7 @@ class _Rows(NamedTuple):
     groups: tuple[tuple[_Row, ...], ...]
     collection: CollectionCodec | None = None
     names: tuple[str, ...] = ()
-    bags: tuple[tuple[int, ...], ...] = ()
+    bags: tuple[frozenset[int], ...] = ()
 
 
 def _assemble(
@@ -270,6 +270,9 @@ def _assemble(
     n = len(cells)
     constraints = []
     append = constraints.append
+    # A row's scope is already a tuple, so each constraint is made directly
+    # rather than through ValuedConstraint's coercing constructor.
+    new = tuple.__new__
     for group in range(len(cells[0].groups)):
         for k, cell in enumerate(cells, 1):
             factors = (scale, n - k + 1, penalty)
@@ -278,7 +281,7 @@ def _assemble(
                 values = [0] * size
                 for i, v in entries:
                     values[i] = f * v
-                append(ValuedConstraint(scope, tuple(values), label))
+                append(new(ValuedConstraint, (scope, tuple(values), label)))
     return tuple(constraints)
 
 
@@ -700,7 +703,7 @@ def _pw4_rows(k: int, closing: bool) -> _Rows:
     odd, even, bags = [], [], []
     if k > 1:
         left = _pw4_position(k - 1)
-        bags.append(left.vars + me.vars)
+        bags.append(frozenset(left.vars + me.vars))
     if k % 2 == 1:
         inter, next_inter = _DUAL, _SIGMA
         odd.append(_row((me.at(_DUAL),), (1, 1), f"U~{l}@{me.name}", factor=_BONUS))
@@ -721,7 +724,7 @@ def _pw4_rows(k: int, closing: bool) -> _Rows:
         # table[u][i][v]: the sAB (i = 0) and sBC (i = 1) profiles side by side
         table = tuple(zip(even_min_ab(weight_m(l)), even_min_bc(weight_m(l))))
         even.append(_row(flank, table, f"S~{l}@{me.name}{right.pin}"))
-        bags.append(even[-1][0])
+        bags.append(frozenset(even[-1][0]))
     penalty = ()
     if not closing:
         parts = (me.at(inter), right.at(next_inter))
@@ -763,7 +766,7 @@ def build_boolean_pw4(
     )
     inst = _finish(inst, f"build_boolean_pw4({n})")
     decomp = PathDecomposition(tuple(itertools.chain.from_iterable(c.bags for c in cells)))
-    return inst, codec, decomp, canonical_start("bool-pw4", n)
+    return inst, codec, decomp, codec.encode((0,) * n)
 
 
 def pw4_equivalence_violation(

@@ -3,7 +3,8 @@
 A VCSP here is a list of finite domains (each with an undirected transition
 relation restricting single-variable moves) plus a list of integer-valued
 constraints over dense tensors.  Fitness of an assignment is the sum of the
-constraint values it selects.  All arithmetic uses unbounded Python integers,
+constraint values it selects, read through per-instance tables of term rows
+grouped by arity.  All arithmetic uses unbounded Python integers,
 so values never wrap and no instance is too large to evaluate exactly.
 """
 
@@ -125,6 +126,21 @@ def neighbors_of(domains: Sequence[DomainSpec], x: Sequence[int]) -> list[tuple[
 # (variable, row-major stride) per scope entry of a constraint.
 _Strides = tuple[tuple[int, int], ...]
 
+# Scopes up to this arity get their own unrolled loop in `fitness` and, by the
+# size of the rest of the scope, in `_delta`; wider ones use a generic loop.
+_UNROLLED = 5
+
+
+def _strides(scope: Sequence[int], sizes: Sequence[int]) -> _Strides:
+    """The (var, row-major stride) pairs of a scope: the last variable has
+    stride 1, each earlier one the product of the sizes after it."""
+    pairs = []
+    stride = 1
+    for var in reversed(scope):
+        pairs.append((var, stride))
+        stride *= sizes[var]
+    return tuple(reversed(pairs))
+
 
 @dataclass(frozen=True)
 class VcspInstance:
@@ -133,7 +149,11 @@ class VcspInstance:
     Construction performs only shallow checks and builds no evaluation
     tables: each table is built from the constraints on first evaluation and
     kept for the instance's lifetime, so an instance that is only built,
-    validated or decomposed never pays for them.  `validate()` reports
+    validated or decomposed never pays for them.  The tables group the
+    constraints by arity (for `fitness`) or, per variable, by the size of the
+    rest of the scope (for `_delta`), so that each scope of up to five
+    variables is summed by a loop unrolled for its size with no inner loop
+    over the scope; wider scopes keep a generic loop.  `validate()` reports
     structural defects without raising, and builders are expected to reject
     defective instances at build time.
     """
@@ -155,37 +175,57 @@ class VcspInstance:
     # -- evaluation tables, built on first use -------------------------------
 
     @cached_property
-    def _fitness_terms(self) -> tuple[tuple[_Strides, tuple[int, ...]], ...]:
-        """Per constraint: its (var, row-major stride) pairs and its values."""
+    def _fitness_tables(self) -> tuple[tuple[tuple, ...], ...]:
+        """The constraints as term rows grouped by arity: for arity a = 1..5,
+        group a-1 holds flat rows `(values, v1, s1, ..., va)` of the scope's
+        variables and their row-major strides, the last stride (always 1)
+        left out; the last group holds the wider constraints as
+        `(((v1, s1), ...), values)`."""
         sizes = self.sizes
-        terms = []
+        groups: list[list] = [[] for _ in range(_UNROLLED + 1)]
         for c in self.constraints:
-            pairs = []
-            stride = 1
-            for var in reversed(c.scope):
-                pairs.append((var, stride))
-                stride *= sizes[var]
-            terms.append((tuple(reversed(pairs)), c.values))
-        return tuple(terms)
+            pairs = _strides(c.scope, sizes)
+            if not 0 < len(pairs) <= _UNROLLED:
+                groups[_UNROLLED].append((pairs, c.values))
+            else:
+                row = [c.values]
+                for var, stride in pairs:
+                    row += (var, stride)
+                groups[len(pairs) - 1].append(tuple(row[:-1]))
+        return tuple(map(tuple, groups))
 
     @cached_property
-    def _delta_terms(self) -> tuple[tuple[tuple[tuple[int, ...], int, _Strides], ...], ...]:
-        """Per variable k, per constraint on k: (values, k's stride, the
-        (var, stride) pairs of the rest of the scope)."""
-        per_var: list[list] = [[] for _ in self.domains]
-        for pairs, values in self._fitness_terms:
+    def _delta_tables(self) -> tuple[tuple[tuple[tuple, ...], ...], ...]:
+        """Per variable k, the constraints on k grouped by the size r of the
+        rest of their scope: group 0 holds the unary constraints' values; for
+        r = 1..4, group r holds flat rows `(values, k's stride, u1, t1, ...,
+        ur, tr)` of the other scope variables and their strides; the last
+        group holds the wider ones as `(values, k's stride, ((u1, t1), ...))`."""
+        sizes = self.sizes
+        per_var = [[[] for _ in range(_UNROLLED + 1)] for _ in self.domains]
+        for c in self.constraints:
+            pairs = _strides(c.scope, sizes)
             for var, stride in pairs:
                 rest = tuple(p for p in pairs if p[0] != var)
-                per_var[var].append((values, stride, rest))
-        return tuple(tuple(terms) for terms in per_var)
+                if not rest:
+                    per_var[var][0].append(c.values)
+                elif len(rest) < _UNROLLED:
+                    row = [c.values, stride]
+                    for p in rest:
+                        row += p
+                    per_var[var][len(rest)].append(tuple(row))
+                else:
+                    per_var[var][_UNROLLED].append((c.values, stride, rest))
+        return tuple(tuple(map(tuple, groups)) for groups in per_var)
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Per variable, the variables sharing a constraint with it, ascending."""
-        return tuple(
-            tuple(sorted({var for _, _, rest in terms for var, _ in rest}))
-            for terms in self._delta_terms
-        )
+        blankets: list[set[int]] = [set() for _ in self.domains]
+        for scope in {c.scope for c in self.constraints}:
+            for var in scope:
+                blankets[var].update(scope)
+        return tuple(tuple(sorted(b - {k})) for k, b in enumerate(blankets))
 
     @property
     def n_vars(self) -> int:
@@ -244,8 +284,19 @@ class VcspInstance:
     def fitness(self, x: Sequence[int]) -> int:
         """Sum of all constraint values selected by x."""
         self.check_assignment(x)
+        t1, t2, t3, t4, t5, wide = self._fitness_tables
         total = 0
-        for pairs, values in self._fitness_terms:
+        for values, a in t1:
+            total += values[x[a]]
+        for values, a, sa, b in t2:
+            total += values[x[a] * sa + x[b]]
+        for values, a, sa, b, sb, c in t3:
+            total += values[x[a] * sa + x[b] * sb + x[c]]
+        for values, a, sa, b, sb, c, sc, d in t4:
+            total += values[x[a] * sa + x[b] * sb + x[c] * sc + x[d]]
+        for values, a, sa, b, sb, c, sc, d, sd, e in t5:
+            total += values[x[a] * sa + x[b] * sb + x[c] * sc + x[d] * sd + x[e]]
+        for pairs, values in wide:
             idx = 0
             for var, st in pairs:
                 idx += x[var] * st
@@ -256,8 +307,23 @@ class VcspInstance:
         """Fitness change of moving variable k from state s to v.  No checks."""
         if v == s:
             return 0
+        r0, r1, r2, r3, r4, wide = self._delta_tables[k]
         d = 0
-        for values, stk, rest in self._delta_terms[k]:
+        for values in r0:
+            d += values[v] - values[s]
+        for values, stk, a, sa in r1:
+            base = x[a] * sa
+            d += values[base + v * stk] - values[base + s * stk]
+        for values, stk, a, sa, b, sb in r2:
+            base = x[a] * sa + x[b] * sb
+            d += values[base + v * stk] - values[base + s * stk]
+        for values, stk, a, sa, b, sb, c, sc in r3:
+            base = x[a] * sa + x[b] * sb + x[c] * sc
+            d += values[base + v * stk] - values[base + s * stk]
+        for values, stk, a, sa, b, sb, c, sc, e, se in r4:
+            base = x[a] * sa + x[b] * sb + x[c] * sc + x[e] * se
+            d += values[base + v * stk] - values[base + s * stk]
+        for values, stk, rest in wide:
             base = 0
             for var, st in rest:
                 base += x[var] * st

@@ -260,6 +260,61 @@ def test_verify_ascent_catches_tampering():
     assert verify_ascent(inst, not_terminal) is not None
 
 
+def test_verify_steepest_names_the_first_tampered_step():
+    inst = build_3by5(4)
+    tr = steepest_ascent(inst, canonical_start("3by5", 4))
+    assert tr.length == 44 and verify_steepest(inst, tr) is None
+
+    def with_steps(steps, final, terminal):
+        return type(tr)(
+            start=tr.start,
+            steps=tuple(steps),
+            length=len(steps),
+            terminal=terminal,
+            policy=tr.policy,
+            tie_steps=0,
+            ambiguous_steps=0,
+            final=final,
+            final_fitness=steps[-1].fitness_after,
+        )
+
+    # Step 3 moves var 1 from 3 to 1 (fitness 18); var 3 from 0 to 3 also
+    # improves, to 13, so a trace that takes it is an ascent but not steepest.
+    x = list(tr.states())[3]
+    assert tr.steps[3] == StepRecord(1, 3, 1, 18) and x[3] == 0
+    detour = tr.steps[:3] + (StepRecord(3, 0, 3, 13),)
+    bad = with_steps(detour, x[:3] + (3,) + x[4:], terminal=False)
+    assert verify_ascent(inst, bad) is None
+    v = verify_steepest(inst, bad)
+    assert (v.step, v.reason, v.witness) == (
+        3, "neighbor (var 1 -> state 1) has fitness 18 > chosen 13", (1, 1)
+    )
+
+    wrong = list(tr.steps)
+    wrong[5] = wrong[5]._replace(fitness_after=wrong[5].fitness_after + 1)
+    v = verify_steepest(inst, with_steps(wrong, tr.final, terminal=True))
+    assert (v.step, v.reason, v.witness) == (5, "recorded fitness 28 != actual 27", None)
+
+
+@pytest.mark.parametrize("family", ["2by3", "3by5", "bool-pw4"])
+def test_builders_and_engines_make_exact_records(family):
+    for n in range(2, 7):
+        inst = build_family(family, n)
+        for c in inst.constraints:
+            assert type(c) is ValuedConstraint
+            assert type(c.scope) is tuple and type(c.values) is tuple
+            assert c == ValuedConstraint(*c)
+        start = canonical_start(family, n)
+        for tr in (
+            steepest_ascent(inst, start),
+            ordered_ascent(inst, start),
+            first_improvement_ascent(inst, start, seed=n),
+        ):
+            assert tr.length > 0
+            for r in tr.steps:
+                assert type(r) is StepRecord and r == StepRecord(*r)
+
+
 def test_trace_length_never_exceeds_the_fitness_span():
     inst = build_2by3(3)
     for x in inst.all_assignments():

@@ -251,7 +251,7 @@ def test_evaluation_tables_are_built_on_first_evaluation_only():
     assert not _built_tables(inst)
     assert inst.fitness(start) == 0
     assert not inst.is_local_solution(start) and inst.var_neighbors(0)
-    assert _built_tables(inst) == {"_fitness_terms", "_delta_terms", "_neighbors"}
+    assert _built_tables(inst) == {"_fitness_tables", "_delta_tables", "_neighbors"}
 
 
 # -- path decompositions ---------------------------------------------------------------

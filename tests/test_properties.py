@@ -79,6 +79,56 @@ def cases(draw):
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
+def _reference_fitness(inst: VcspInstance, x) -> int:
+    """Fitness read straight from each constraint's raw values: the tensor
+    index is the scope's states in row-major order over their domain sizes."""
+    total = 0
+    for c in inst.constraints:
+        idx = 0
+        for var in c.scope:
+            idx = idx * inst.sizes[var] + x[var]
+        total += c.values[idx]
+    return total
+
+
+@st.composite
+def wide_cases(draw):
+    """(instance, assignment) with scopes of arity 1-7 over 2-3 states and
+    values up to 2^70 in size, so every arity group of the evaluation tables
+    and the generic loop past them get random data."""
+    n = draw(st.integers(1, 8))
+    domains = []
+    for _ in range(n):
+        size = draw(st.integers(2, 3))
+        domains.append(DomainSpec(tuple("ABC"[:size]), _moves(size, "complete")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    constraints = []
+    for i in range(draw(st.integers(0, 8))):
+        arity = draw(st.integers(1, min(7, n)))
+        scope = tuple(draw(st.permutations(range(n)))[:arity])
+        cells = math.prod(domains[v].size for v in scope)
+        table = tuple(rng.randint(-(2**70), 2**70) for _ in range(cells))
+        constraints.append(ValuedConstraint(scope, table, f"c{i}"))
+    inst = VcspInstance(tuple(domains), tuple(constraints))
+    assert inst.validate() == []
+    x = tuple(draw(st.integers(0, d.size - 1)) for d in domains)
+    return inst, x
+
+
+@PROPERTY
+@given(wide_cases())
+def test_fitness_and_delta_equal_a_reference_evaluator(case):
+    inst, x = case
+    f = _reference_fitness(inst, x)
+    assert inst.fitness(x) == f
+    y = list(x)
+    for k, dom in enumerate(inst.domains):
+        for v in range(dom.size):
+            y[k] = v
+            assert inst._delta(x, k, x[k], v) == _reference_fitness(inst, y) - f
+        y[k] = x[k]
+
+
 def _is_prefix(limited, full, limit: int) -> bool:
     return (
         limited.steps == full.steps[:limit]
