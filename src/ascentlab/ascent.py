@@ -15,8 +15,14 @@ incrementally updated key over those states.  Ordered ascent memoises whole
 moves: the key includes the variable's own state, so an improving key also
 fixes the key increments its move causes, and a step replays a stored record
 after one lookup per scan position.  Steepest ascent caches one plain entry
-per variable and refreshes only the moved variable and its blanket; it
-applies few of the entries it caches, so it stores no moves.  The expanded
+per variable key; it applies few of the entries it caches, so it stores no
+moves.  It keeps the improving set, a dict from each variable whose best
+gain is positive to that gain, and takes each move from it: the largest
+gain, then the lowest variable id, with the step counted as tied when
+another variable reaches that gain or the variable has more than one best
+target.  After a move one pass over the moved variable's dependants adds
+their key increments, looks up their entries and updates the improving set,
+so a step costs O(blanket + improving set), not O(n).  The expanded
 landscape's blanket is every other variable, so there the memo is never
 reused and steepest rescans every variable.  First-improvement ascent calls
 `_delta` directly, one move at a time: it keeps each variable's permitted
@@ -149,11 +155,12 @@ class _Blankets:
     and `memos[k]` maps a key to what the engine stores for it (an entry for
     steepest, a move record for ordered) and fills as the walk visits keys.
     After x[k] goes from s to t, the caller adds `(t - s) * w` to `keys[d]`
-    for every `(d, w)` in `deps[k]`; `touched[k]` lists those d, the
-    variables whose entry may have changed.
+    for every `(d, w)` in `deps[k]`; those d are the variables whose entry
+    may have changed.  Steepest ascent looks up each such d's entry in the
+    same pass and keeps the improving entries' gains beside the memo.
     """
 
-    __slots__ = ("scan", "keys", "deps", "touched", "memos")
+    __slots__ = ("scan", "keys", "deps", "memos")
 
     def __init__(self, landscape, x: list[int]):
         delta = landscape._delta
@@ -182,49 +189,60 @@ class _Blankets:
         get_nbrs = landscape.var_neighbors
         sizes = [d.size for d in landscape.domains]
         deps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        touched: list[list[int]] = [[] for _ in range(n)]
         keys = []
         for k, s in enumerate(x):
             deps[k].append((k, 1))
-            touched[k].append(k)
             w = sizes[k]
             for j in get_nbrs(k):
                 deps[j].append((k, w))
-                touched[j].append(k)
                 s += x[j] * w
                 w *= sizes[j]
             keys.append(s)
         self.keys = keys
         self.deps = deps
-        self.touched = touched
         self.memos = [{} for _ in range(n)]
 
 
 def _steepest_moves(landscape, x: list[int]):
+    """Steepest ascent's moves, each taken from the improving set
+    `improving`, which maps each variable whose entry improves to its gain."""
     b = _Blankets(landscape, x)
-    scan, keys, deps, touched, memos = b.scan, b.keys, b.deps, b.touched, b.memos
-    n = len(x)
-    entries: list[tuple[int, int, int, int]] = [(0, -1, 0, 0)] * n
-    gains = [0] * n
-    refresh = range(n)
-    while True:
-        for k in refresh:
-            e = memos[k].get(keys[k])
-            if e is None:
-                e = memos[k][keys[k]] = scan(k)
-            entries[k] = e
-            gains[k] = e[0]
-        g = max(gains, default=0)
-        if g <= 0:
-            return
-        k = gains.index(g)
-        e = entries[k]
+    scan, keys, deps, memos = b.scan, b.keys, b.deps, b.memos
+    gets = [m.get for m in memos]
+    improving: dict[int, int] = {}
+    for k, key in enumerate(keys):
+        e = memos[k][key] = scan(k)
+        if e[0] > 0:
+            improving[k] = e[0]
+    items = improving.items
+    pop = improving.pop
+    while improving:
+        # A plain loop beats max() plus a filter over so few entries.
+        g = 0
+        for d, v in items():
+            if v > g:
+                g = v
+                k = d
+                reaching = 1
+            elif v == g:
+                reaching += 1
+                if d < k:
+                    k = d
+        e = gets[k](keys[k])
         t = e[1]
         diff = t - x[k]
-        yield k, t, g, e[2] > 1 or gains.count(g) > 1, False
+        yield k, t, g, e[2] > 1 or reaching > 1, False
+        # One pass adds each key increment and refreshes that variable's entry.
         for d, w in deps[k]:
-            keys[d] += diff * w
-        refresh = touched[k]
+            key = keys[d] + diff * w
+            keys[d] = key
+            e = gets[d](key)
+            if e is None:
+                e = memos[d][key] = scan(d)
+            if e[0] > 0:
+                improving[d] = e[0]
+            else:
+                pop(d, None)
 
 
 def steepest_ascent(

@@ -206,6 +206,8 @@ def _cmd_ascend(args) -> int:
         "final_fitness": trace.final_fitness,
         "seconds": round(seconds, 6),
         "steps_per_sec": round(trace.length / max(seconds, 1e-9), 1),
+        "tie_steps": trace.tie_steps,
+        "ambiguous_steps": trace.ambiguous_steps,
     }
     print(json.dumps(summary))
     return EXIT_OK if trace.terminal else EXIT_STEP_LIMIT

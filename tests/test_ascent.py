@@ -184,6 +184,60 @@ def test_step_limit_semantics():
     assert tr.length == 5 and tr.terminal
 
 
+def test_steepest_selects_from_the_improving_set():
+    # x0 has two best targets B and C (gain 5); x1 and x2 tie for the
+    # largest gain 9; x3 (gain 7) stops improving once x1 moves; x4 starts
+    # improving (gain 6) only once x2 moves.
+    fork = DomainSpec(("A", "B", "C"), frozenset({(0, 1), (0, 2)}))
+    bit = DomainSpec(("A", "B"), frozenset({(0, 1)}))
+    inst = VcspInstance(
+        (fork, bit, bit, bit, bit),
+        (
+            ValuedConstraint((0,), (0, 5, 5), "fork"),
+            ValuedConstraint((1,), (0, 9), "u1"),
+            ValuedConstraint((2,), (0, 9), "u2"),
+            ValuedConstraint((3,), (0, 7), "u3"),
+            ValuedConstraint((1, 3), (0, 0, 0, -10), "x1 blocks x3"),
+            ValuedConstraint((2, 4), (0, -1, 0, 6), "x2 unblocks x4"),
+        ),
+    )
+    start = (A,) * 5
+    # The limit exceeds the walk's length; it only stops a faulty walk.
+    tr = steepest_ascent(inst, start, step_limit=5)
+    assert tr.steps == (
+        StepRecord(var=1, src=A, dst=B, fitness_after=9),  # lowest id wins the tie
+        StepRecord(var=2, src=A, dst=B, fitness_after=18),
+        StepRecord(var=4, src=A, dst=B, fitness_after=24),  # x3 is never chosen
+        StepRecord(var=0, src=A, dst=B, fitness_after=29),  # lowest best target
+    )
+    assert tr.terminal and tr.final == (B, B, B, A, B)
+    # Exactly the first step (across variables) and the last (within x0) tie.
+    assert [steepest_ascent(inst, start, step_limit=i).tie_steps for i in range(5)] == [
+        0, 1, 1, 1, 2,
+    ]
+    assert tr.tie_steps == exhaustive_steepest_oracle(inst, start, step_limit=5).tie_steps == 2
+    assert verify_steepest(inst, tr) is None
+
+
+@pytest.mark.parametrize(
+    "family,n", [("3by5", n) for n in range(2, 6)] + [("bool-pw4", n) for n in range(2, 5)]
+)
+def test_canonical_start_is_the_unique_start_of_the_longest_steepest_ascent(family, n):
+    """With the engine's lowest-id tie-break, the steepest ascent from every
+    start is at most 2·f_max(n) steps long, and only the canonical start
+    reaches that length.  This is an observation of the lab at small n, not
+    a claim of the paper (it fails for steepest ascent on `2by3`)."""
+    inst = build_family(family, n)
+    lengths = {
+        x: steepest_ascent(inst, x, record_steps=False).length for x in inst.all_assignments()
+    }
+    longest = max(lengths.values())
+    assert longest == 2 * f_max(n)
+    assert [x for x, length in lengths.items() if length == longest] == [
+        canonical_start(family, n)
+    ]
+
+
 # -- verifiers -------------------------------------------------------------------
 
 

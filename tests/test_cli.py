@@ -70,6 +70,19 @@ def test_ascend_expanded_steepest(capsys):
     assert code == 0 and json.loads(out)["steps"] == 2 * f_max(4) == 44
 
 
+# With h = n // 2, the even-n bool-pw4 walk ties at 3 * 2^h - 3 steps.
+@pytest.mark.parametrize("family,n,ties", [("3by5", 4, 0), ("bool-pw4", 6, 3 * 2**3 - 3)])
+def test_ascend_summary_counts_tied_steps(capsys, family, n, ties):
+    code, out, _ = run(capsys, "ascend", "--family", family, "--n", str(n), "--engine", "steepest")
+    summary = json.loads(out)
+    assert list(summary) == [
+        "family", "n", "engine", "start", "steps", "terminal", "final_fitness",
+        "seconds", "steps_per_sec", "tie_steps", "ambiguous_steps",
+    ]
+    assert code == 0 and summary["steps"] == 2 * f_max(n)
+    assert summary["tie_steps"] == ties and summary["ambiguous_steps"] == 0
+
+
 def test_ascend_step_limit_exit_code(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     code, out, _ = run(
