@@ -35,8 +35,8 @@ print(f"steepest walk from {''.join(map(str, start))}: "
 
 base = build_2by3(n)
 sim = simulate_ascent(ordered_ascent(base, canonical_start("2by3", n)), expand_landscape(base))
-decoded = [tuple(codec.decode_states(b)) for b in greedy.states()]
-print(f"decoded walk equals the predicted simulation: {decoded == [tuple(s) for s in sim.states()]}")
+decoded = codec.decode_walk(greedy)
+print(f"decoded walk equals the predicted simulation: {decoded == [list(s) for s in sim.states()]}")
 
 print()
 print("first four decoded states:")

@@ -27,9 +27,16 @@ landscape's blanket is every other variable, so there the memo is never
 reused and steepest rescans every variable.  First-improvement ascent calls
 `_delta` directly, one move at a time: it keeps each variable's permitted
 moves, rebuilds only the moved variable's list, and draws its random scan
-order lazily, so a step pays only for the moves it tests.  The verifiers
-re-derive everything from scratch with full fitness evaluations so they
-catch delta and memo bugs.
+order lazily, so a step pays only for the moves it tests.
+
+The verifiers also need `neighbors(x)` and `_reference_delta(x, k, t)`, and
+share neither `_delta` nor the memo with the engines.  They replay a trace
+and evaluate every visited state from scratch with full `fitness`.  A
+step's neighbours are scored as that value plus `_reference_delta`, which
+reads only the raw tensors of the constraints on the moved variable through
+its own index; the terminal state's moves are scored the same way.  So a
+bug in `_delta` or in the memo cannot vouch for itself, and checking a step
+costs its out-edges, not a full evaluation per neighbour.
 """
 
 from __future__ import annotations
@@ -432,6 +439,16 @@ def _replayed_states(landscape, trace: AscentTrace) -> list[tuple[int, ...]] | A
     return states
 
 
+def _improving_move(landscape, x: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first permitted move (k, t) of x, ascending, that `_reference_delta`
+    scores as improving, or None at a local solution."""
+    score = landscape._reference_delta
+    for k, t in landscape.neighbors(x):
+        if score(x, k, t) > 0:
+            return k, t
+    return None
+
+
 def _checked_walk(
     landscape, trace: AscentTrace
 ) -> tuple[list[tuple[int, ...]], list[int]] | AscentViolation:
@@ -452,17 +469,20 @@ def _checked_walk(
         fits.append(f)
     if trace.final != states[-1]:
         return AscentViolation(len(states) - 2, "final assignment does not match replay")
-    if trace.terminal and not landscape.is_local_solution(states[-1]):
-        return AscentViolation(
-            len(states) - 1, "terminal trace does not end at a local solution"
-        )
+    if trace.terminal:
+        move = _improving_move(landscape, states[-1])
+        if move is not None:
+            return AscentViolation(
+                len(states) - 1, "terminal trace does not end at a local solution", witness=move
+            )
     return states, fits
 
 
 def verify_ascent(landscape, trace: AscentTrace) -> AscentViolation | None:
     """Adjacency, permitted moves, strict fitness increase, terminal condition.
 
-    All fitness values are recomputed from scratch.
+    Every visited state's fitness is recomputed from scratch; the terminal
+    state's moves are scored with `_reference_delta`.
     """
     walk = _checked_walk(landscape, trace)
     return walk if isinstance(walk, AscentViolation) else None
@@ -471,26 +491,27 @@ def verify_ascent(landscape, trace: AscentTrace) -> AscentViolation | None:
 def verify_steepest(landscape, trace: AscentTrace) -> AscentViolation | None:
     """Every step must reach the maximum fitness over the full neighborhood.
 
-    The chosen states' fitness values are the ones `verify_ascent`'s checks
-    recomputed; every neighbour's is computed from scratch.
+    The visited states' fitness values are the ones `verify_ascent`'s checks
+    recomputed from scratch.  Each neighbour of a state is scored as the
+    state's value plus `_reference_delta`, the change of the constraints on
+    the moved variable read from their raw tensors.
     """
     walk = _checked_walk(landscape, trace)
     if isinstance(walk, AscentViolation):
         return walk
     states, fits = walk
+    score = landscape._reference_delta
     for i in range(len(states) - 1):
         x = states[i]
-        chosen = fits[i + 1]
-        y = list(x)
+        # A neighbour beats the chosen state when its change exceeds this.
+        gain = fits[i + 1] - fits[i]
         for k, t in landscape.neighbors(x):
-            s = y[k]
-            y[k] = t
-            f = landscape.fitness(y)
-            y[k] = s
-            if f > chosen:
+            d = score(x, k, t)
+            if d > gain:
                 return AscentViolation(
                     i,
-                    f"neighbor (var {k} -> state {t}) has fitness {f} > chosen {chosen}",
+                    f"neighbor (var {k} -> state {t}) has fitness {fits[i] + d} "
+                    f"> chosen {fits[i + 1]}",
                     witness=(k, t),
                 )
     return None
@@ -499,26 +520,24 @@ def verify_steepest(landscape, trace: AscentTrace) -> AscentViolation | None:
 def verify_ordered(
     landscape, trace: AscentTrace, order: Sequence[int] | None = None
 ) -> AscentViolation | None:
-    """No variable earlier in the order may have had an improving move."""
+    """No variable earlier in the order may have had an improving move.
+
+    The visited states are checked as in `verify_ascent`; each move of an
+    earlier variable is scored with `_reference_delta`, the change of the
+    constraints on that variable read from their raw tensors.
+    """
     order = _checked_order(len(landscape.domains), order)
     walk = _checked_walk(landscape, trace)
     if isinstance(walk, AscentViolation):
         return walk
-    states, fits = walk
+    states = walk[0]
+    score = landscape._reference_delta
     pos = {k: i for i, k in enumerate(order)}
     for i, rec in enumerate(trace.steps or ()):
         x = states[i]
-        fx = fits[i]
-        y = list(x)
-        for j in order:
-            if pos[j] >= pos[rec.var]:
-                break
-            s = y[j]
-            for u in landscape.domains[j].adjacent(s):
-                y[j] = u
-                f = landscape.fitness(y)
-                y[j] = s
-                if f > fx:
+        for j in order[: pos[rec.var]]:
+            for u in landscape.domains[j].adjacent(x[j]):
+                if score(x, j, u) > 0:
                     return AscentViolation(
                         i,
                         f"earlier variable {j} had an improving move to state {u}",

@@ -358,6 +358,12 @@ class ExpandedLandscape:
     With two or more intermediates it is (2n+1) times the min over all
     completions, which stays under the two-intermediate ceiling
     2n-(j+k)+2 + (2n+1)*min.
+
+    Each base completion is evaluated once per landscape: `_base_fitness`
+    keeps a dict from each base assignment met so far to its base fitness,
+    and `fitness` and `_min_completion` (so also `pair_ceiling` and
+    `padding_defect`) read it.  The dict grows to at most the base
+    assignment space, which the landscape only meets at small n.
     """
 
     def __init__(self, base: VcspInstance, order: Sequence[int] | None = None):
@@ -375,9 +381,18 @@ class ExpandedLandscape:
         # bonus[k] = n - (1-based rank of k in the order) + 1
         rank = {k: i for i, k in enumerate(self.order)}
         self.bonus = tuple(n - rank[k] for k in range(n))
+        self._base_fitnesses: dict[tuple[int, ...], int] = {}
 
     def check_assignment(self, x: Sequence[int]) -> None:
         check_assignment_against(self._sizes, x)
+
+    def _base_fitness(self, y: Sequence[int]) -> int:
+        """The base fitness of the base assignment y, evaluated on first use."""
+        key = tuple(y)
+        f = self._base_fitnesses.get(key)
+        if f is None:
+            f = self._base_fitnesses[key] = self.base.fitness(key)
+        return f
 
     def _intermediates(self, x: Sequence[int]) -> list[int]:
         return [k for k, (s, n_main) in enumerate(zip(x, self._n_main)) if s >= n_main]
@@ -390,7 +405,7 @@ class ExpandedLandscape:
         for combo in itertools.product(*(self.doms[k].pair_of(x[k]) for k in inter)):
             for k, w in zip(inter, combo):
                 y[k] = w
-            f = self.base.fitness(y)
+            f = self._base_fitness(y)
             if best is None or f < best:
                 best = f
         return best
@@ -399,15 +414,15 @@ class ExpandedLandscape:
         self.check_assignment(x)
         inter = self._intermediates(x)
         if not inter:
-            return self.scale * self.base.fitness(x)
+            return self.scale * self._base_fitness(x)
         if len(inter) == 1:
             k = inter[0]
             y = list(x)
             u, v = self.doms[k].pair_of(x[k])
             y[k] = u
-            fu = self.base.fitness(y)
+            fu = self._base_fitness(y)
             y[k] = v
-            return self._one_intermediate(k, fu, self.base.fitness(y))
+            return self._one_intermediate(k, fu, self._base_fitness(y))
         return self.scale * self._min_completion(x, inter)
 
     def _one_intermediate(self, k: int, fu: int, fv: int) -> int:
@@ -456,16 +471,18 @@ class ExpandedLandscape:
         return tuple(j for j in range(self.n_vars) if j != k)
 
     def _delta(self, x: Sequence[int], k: int, s: int, v: int) -> int:
+        return self._reference_delta(x, k, v)
+
+    def _reference_delta(self, x: Sequence[int], k: int, t: int) -> int:
+        """The full fitness difference of moving variable k to state t: the
+        padded fitness reads the whole base, so it has no smaller scope."""
         y = list(x)
-        y[k] = v
+        y[k] = t
         return self.fitness(y) - self.fitness(x)
 
     def neighbors(self, x: Sequence[int]) -> list[tuple[int, int]]:
         self.check_assignment(x)
         return neighbors_of(self.domains, x)
-
-    def is_local_solution(self, x: Sequence[int]) -> bool:
-        return all(self._delta(x, k, x[k], t) <= 0 for k, t in self.neighbors(x))
 
 
 def expand_landscape(base: VcspInstance, order: Sequence[int] | None = None) -> ExpandedLandscape:
@@ -615,6 +632,30 @@ class BooleanCodec:
 
     def decode_states(self, bits: Sequence[int]) -> list[int | None]:
         return [sid for sid, _ in self.decode(bits)]
+
+    def decode_walk(self, trace: AscentTrace) -> list[list[int | None]]:
+        """`decode_states` of every assignment a recorded walk visits, start
+        first.  The start is decoded in full; each step then decodes only the
+        collection that holds the moved bit."""
+        if trace.steps is None:
+            raise ValueError("trace was recorded in summary mode; no steps to replay")
+        # {bit: index of the collection holding it}
+        owner = {}
+        for i, c in enumerate(self.collections):
+            for bit in range(c.offset, c.offset + c.width):
+                owner[bit] = i
+        bits = list(trace.start)
+        states = self.decode_states(bits)
+        walk = [states]
+        for rec in trace.steps:
+            bits[rec.var] = rec.dst
+            states = states.copy()
+            i = owner.get(rec.var)
+            if i is not None:
+                c = self.collections[i]
+                states[i] = c.decode(tuple(bits[c.offset : c.offset + c.width]))
+            walk.append(states)
+        return walk
 
     def to_json(self) -> dict:
         return {

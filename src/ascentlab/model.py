@@ -227,6 +227,40 @@ class VcspInstance:
                 blankets[var].update(scope)
         return tuple(tuple(sorted(b - {k})) for k, b in enumerate(blankets))
 
+    @cached_property
+    def _reference_index(self) -> tuple[tuple[tuple, ...], ...]:
+        """The move scorer's own index, built from `scope` and `sizes` alone
+        so that it shares nothing with the evaluation tables: per variable k,
+        one `(values, ((var, stride), ...), k's stride)` per constraint on k,
+        with the scope's row-major strides."""
+        sizes = self.sizes
+        per_var: list[list[tuple]] = [[] for _ in sizes]
+        for c in self.constraints:
+            pairs = []
+            stride = 1
+            for var in reversed(c.scope):
+                pairs.append((var, stride))
+                stride *= sizes[var]
+            row_major = tuple(reversed(pairs))
+            for var, stride in row_major:
+                per_var[var].append((c.values, row_major, stride))
+        return tuple(map(tuple, per_var))
+
+    def _reference_delta(self, x: Sequence[int], k: int, t: int) -> int:
+        """Exact fitness change of moving variable k of x to state t: over the
+        constraints on k, the raw tensor entry at the moved assignment minus
+        the one at x, each indexed row-major from x.  The verifiers score
+        moves with it so that a bug in `_delta` cannot vouch for itself.
+        No checks."""
+        move = t - x[k]
+        d = 0
+        for values, pairs, stride in self._reference_index[k]:
+            idx = 0
+            for var, w in pairs:
+                idx += x[var] * w
+            d += values[idx + move * stride] - values[idx]
+        return d
+
     @property
     def n_vars(self) -> int:
         return len(self.domains)

@@ -1,9 +1,9 @@
 """Brute-force oracles and structural checkers for the instance families.
 
 Every check recomputes its claim from first principles (exhaustive
-enumeration, from-scratch neighborhood scans, direct table arithmetic) and
-returns a report whose failure verdicts always carry a concrete
-counterexample.
+enumeration, full neighborhood scans scored from the raw constraint tensors,
+direct table arithmetic) and returns a report whose failure verdicts always
+carry a concrete counterexample.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
             failure = _doubled_length_failure(n, eng)
             if failure is not None:
                 return failure
-            decoded = [codec.decode_states(bits) for bits in eng.states()]
+            decoded = codec.decode_walk(eng)
             diff = _first_difference(decoded, [list(s) for s in sim.states()])
             if diff is not None:
                 return False, f"n={n}: decoded walk diverges at state {diff[0]}", {

@@ -350,6 +350,27 @@ def test_verify_steepest_names_the_first_tampered_step():
     assert (v.step, v.reason, v.witness) == (5, "recorded fitness 28 != actual 27", None)
 
 
+def test_verifiers_score_the_terminal_state_without_delta(monkeypatch):
+    # A `_delta` that never lets the last variable improve stops both engines
+    # early; the verifiers must still find the move it hides.
+    real = VcspInstance._delta
+
+    def clamped(self, x, k, s, v):
+        d = real(self, x, k, s, v)
+        return min(d, 0) if k == self.n_vars - 1 else d
+
+    monkeypatch.setattr(VcspInstance, "_delta", clamped)
+    inst = build_3by5(4)
+    for engine, verify in ((steepest_ascent, verify_steepest), (ordered_ascent, verify_ordered)):
+        tr = engine(inst, canonical_start("3by5", 4))
+        assert (tr.length, tr.terminal, tr.final, tr.final_fitness) == (20, True, (1, 0, 1, 0), 90)
+        assert inst.fitness((1, 0, 1, 3)) == 91
+        v = verify(inst, tr)
+        assert (v.step, v.reason, v.witness) == (
+            20, "terminal trace does not end at a local solution", (3, 3)
+        )
+
+
 @pytest.mark.parametrize("family", ["2by3", "3by5", "bool-pw4"])
 def test_builders_and_engines_make_exact_records(family):
     for n in range(2, 7):

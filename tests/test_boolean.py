@@ -223,6 +223,16 @@ def test_decoded_walk_replays_the_simulation(n):
     assert tr.fitness_values() == sim.fitness_values()
 
 
+def test_decode_walk_decodes_every_visited_state():
+    # Every start of n = 3, junk codes included, and a walk of each engine.
+    inst, codec, _, start = build_boolean_pw4(3)
+    for x in inst.all_assignments():
+        for tr in (steepest_ascent(inst, x), ordered_ascent(inst, x)):
+            assert codec.decode_walk(tr) == [codec.decode_states(b) for b in tr.states()]
+    with pytest.raises(ValueError, match="summary mode"):
+        codec.decode_walk(steepest_ascent(inst, start, record_steps=False))
+
+
 def test_codec_json_shape():
     _, codec, _, _ = build_boolean_pw4(2)
     data = codec.to_json()

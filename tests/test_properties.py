@@ -125,7 +125,9 @@ def test_fitness_and_delta_equal_a_reference_evaluator(case):
     for k, dom in enumerate(inst.domains):
         for v in range(dom.size):
             y[k] = v
-            assert inst._delta(x, k, x[k], v) == _reference_fitness(inst, y) - f
+            want = _reference_fitness(inst, y) - f
+            assert inst._delta(x, k, x[k], v) == want
+            assert inst._reference_delta(x, k, v) == want
         y[k] = x[k]
 
 

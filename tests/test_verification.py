@@ -261,6 +261,29 @@ def test_a_changed_tie_count_fails_the_boolean_check(monkeypatch):
     assert report.counterexample == {"n": 3, "tie_steps": 6, "expected": 5}
 
 
+def test_a_diverging_decoded_walk_fails_the_boolean_check(monkeypatch):
+    real = verification.steepest_ascent
+
+    def planted(inst, start):
+        trace = real(inst, start)
+        if len(start) == 7:  # n = 3: step 4 leaves its bit unflipped
+            steps = list(trace.steps)
+            steps[4] = steps[4]._replace(dst=steps[4].src)
+            trace = dataclasses.replace(trace, steps=tuple(steps))
+        return trace
+
+    monkeypatch.setattr(verification, "steepest_ascent", planted)
+    report = check_boolean(2, 4)
+    assert not report.passed
+    assert report.details == "n=3: decoded walk diverges at state 5"
+    assert report.counterexample == {
+        "n": 3,
+        "state": 5,
+        "decoded": [1, 1, 0],
+        "expected": [2, 1, 0],
+    }
+
+
 def test_a_passing_boolean_report_keeps_its_keys():
     data = check_boolean(2, 4).to_json()
     del data["runtime_s"]
