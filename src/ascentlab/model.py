@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -121,6 +122,11 @@ def neighbors_of(domains: Sequence[DomainSpec], x: Sequence[int]) -> list[tuple[
         for t in dom.adjacent(x[k]):
             out.append((k, t))
     return out
+
+
+# A constraint's scope and values, read in C.
+_scope_of = operator.itemgetter(0)
+_values_of = operator.itemgetter(1)
 
 
 # (variable, row-major stride) per scope entry of a constraint.
@@ -280,7 +286,35 @@ class VcspInstance:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Return a list of structural defects; empty means the instance is ok."""
+        """Return a list of structural defects; empty means the instance is ok.
+
+        Each distinct (scope, tensor length) pair is checked once: the scope
+        is non-empty, repeats no variable and names only known variables, and
+        the length is the product of the scope's domain sizes.  Only an
+        instance that fails is walked constraint by constraint, to word its
+        defects: in constraint order, each constraint's own, naming every
+        constraint on a defective scope."""
+        constraints = self.constraints
+        if not constraints:
+            return []
+        scopes, lengths = zip(
+            *dict.fromkeys(zip(map(_scope_of, constraints), map(len, map(_values_of, constraints))))
+        )
+        sizes = self.sizes
+        used = set().union(*scopes)
+        if (
+            all(scopes)
+            and min(used) >= 0
+            and max(used) < len(sizes)
+            and sum(map(len, map(set, scopes))) == sum(map(len, scopes))
+        ):
+            expected = map(math.prod, map(map, repeat(sizes.__getitem__), scopes))
+            if all(map(operator.eq, lengths, expected)):
+                return []
+        return self._defects()
+
+    def _defects(self) -> list[str]:
+        """validate()'s defects, worded constraint by constraint."""
         defects: list[str] = []
         n = self.n_vars
         size_of = self._sizes.__getitem__  # type: ignore[attr-defined]
@@ -418,50 +452,94 @@ class DecompositionReport:
 def check_path_decomposition(
     instance: VcspInstance, decomposition: PathDecomposition
 ) -> DecompositionReport:
-    """Check bag coverage of every scope and interval contiguity per variable."""
+    """Check bag coverage of every scope and interval contiguity per variable.
+
+    One pass over the bags finds the variables each bag adds to the one
+    before it.  Every variable's bags are contiguous exactly when each
+    variable enters once.  Then a scope lies inside some bag exactly when it
+    lies inside the bag where the latest-entering of its variables enters
+    (intervals that meet pairwise share a point), so each distinct scope
+    costs one subset test, all of them in one C-level pass when no scope is
+    empty and every scope variable is in some bag.  A per-scope loop finds
+    the first violation, and bag sets are intersected only when some
+    variable's bags are not contiguous.  The first violation is
+    reported, in this order: a bag entry that is not a variable; the first
+    distinct scope not inside any bag (an empty scope, or one with a
+    variable in no bag, never is), named by its first constraint; the first
+    variable, in order of first appearance, whose bags are not contiguous.
+    """
     n = instance.n_vars
     bags = decomposition.bags
+    entering = list(map(frozenset.difference, bags, chain((frozenset(),), bags)))
+    # the bag where each variable enters (its last entry if it enters twice)
+    entry = {v: bi for bi, new in enumerate(entering) for v in new}
+    if entry and (min(entry) < 0 or max(entry) >= n):
+        for bi, bag in enumerate(bags):
+            for v in bag:
+                if not (0 <= v < n):
+                    return DecompositionReport(None, f"bag {bi} contains unknown variable {v}")
+    var_bags = None if sum(map(len, entering)) == len(entry) else _bags_of(bags)
+
+    # each distinct scope once, in order of first use; the exact rule runs on
+    # them all at once, and only when it fails or cannot run does the loop
+    # look for the first scope in no bag
+    scopes = list(dict.fromkeys(map(_scope_of, instance.constraints)))
+    if not (
+        var_bags is None
+        and all(scopes)
+        and entry.keys() >= set().union(*scopes)
+        and all(
+            map(
+                frozenset.issuperset,
+                map(bags.__getitem__, map(max, map(map, repeat(entry.__getitem__), scopes))),
+                scopes,
+            )
+        )
+    ):
+        for scope in scopes:
+            if not _inside_a_bag(scope, bags, entry, var_bags):
+                c = next(c for c in instance.constraints if c.scope == scope)
+                who = c.label or f"scope {sorted(scope)}"
+                return DecompositionReport(
+                    None, f"scope of {who} ({sorted(scope)}) is not inside any bag"
+                )
+    if var_bags is not None:
+        for v, bs in var_bags.items():
+            if bs[-1] - bs[0] + 1 != len(bs):
+                return DecompositionReport(
+                    None,
+                    f"variable {v} appears in bags {bs}, which is not a contiguous interval",
+                )
+
+    width = max(map(len, bags), default=0) - 1
+    return DecompositionReport(width)
+
+
+def _inside_a_bag(
+    scope: tuple[int, ...],
+    bags: Sequence[frozenset[int]],
+    entry: dict[int, int],
+    var_bags: dict[int, list[int]] | None,
+) -> bool:
+    """Whether some bag holds the whole (non-empty) scope.  With `var_bags`
+    None every variable's bags are contiguous, and the bag where the
+    latest-entering scope variable enters is the only candidate; otherwise
+    the scope variables' bag sets are intersected."""
+    if not scope or not all(map(entry.__contains__, scope)):
+        return False
+    if var_bags is None:
+        return bags[max(map(entry.__getitem__, scope))].issuperset(scope)
+    return bool(set(var_bags[scope[0]]).intersection(*map(var_bags.__getitem__, scope[1:])))
+
+
+def _bags_of(bags: Sequence[frozenset[int]]) -> dict[int, list[int]]:
+    """Per variable, in order of first appearance, the ascending indices of
+    the bags that hold it."""
     var_bags: dict[int, list[int]] = {}
     for bi, bag in enumerate(bags):
         for v in bag:
-            if not (0 <= v < n):
-                return DecompositionReport(None, f"bag {bi} contains unknown variable {v}")
             var_bags.setdefault(v, []).append(bi)
-
-    bag_sets = {v: set(bs) for v, bs in var_bags.items()}
-    # Coverage depends on the scope alone, so each distinct scope is tested
-    # once, at its first constraint, which is the one a failure names.
-    seen: set[tuple[int, ...]] = set()
-    for c in instance.constraints:
-        if c.scope in seen:
-            continue
-        seen.add(c.scope)
-        covering: set[int] | None = None
-        for v in c.scope:
-            s = bag_sets.get(v)
-            if not s:
-                covering = None
-                break
-            covering = set(s) if covering is None else covering & s
-            if not covering:
-                break
-        if not covering:
-            who = c.label or f"scope {sorted(c.scope)}"
-            return DecompositionReport(
-                None, f"scope of {who} ({sorted(c.scope)}) is not inside any bag"
-            )
-
-    for v, bs in var_bags.items():
-        lo, hi = min(bs), max(bs)
-        if hi - lo + 1 != len(set(bs)):
-            return DecompositionReport(
-                None,
-                f"variable {v} appears in bags {sorted(set(bs))}, "
-                "which is not a contiguous interval",
-            )
-
-    width = max((len(b) for b in bags), default=0) - 1
-    return DecompositionReport(width)
+    return var_bags
 
 
 # -- JSON serialization -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests on random small VCSPs: the engines against the from-scratch
-checkers and replays, delta evaluation against full fitness, and the JSON
-round trip."""
+checkers and replays, delta evaluation against full fitness, the JSON round
+trip, and the structural checks (`validate`, `check_path_decomposition`)
+against constraint-by-constraint references."""
 
 from __future__ import annotations
 
@@ -8,13 +9,16 @@ import json
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ascentlab import (
+    DecompositionReport,
     DomainSpec,
+    PathDecomposition,
     ValuedConstraint,
     VcspInstance,
+    check_path_decomposition,
     exhaustive_steepest_oracle,
     expand_landscape,
     first_improvement_ascent,
@@ -280,3 +284,231 @@ def test_simulated_ascent_takes_its_fitness_from_the_expanded_landscape(case):
     assert sim.fitness_values() == [landscape.fitness(x) for x in states[1:]]
     assert sim.final == states[-1]
     assert sim.final_fitness == landscape.fitness(sim.final)
+
+
+# -- structural checks against constraint-by-constraint references -------------------
+
+# Both structural checks are fast, so their properties draw more examples.
+STRUCTURE = settings(PROPERTY, max_examples=400)
+
+
+def _reference_defects(inst: VcspInstance) -> list[str]:
+    """validate()'s defects, found by walking every constraint: a scope
+    already found sound with this tensor length is skipped."""
+    defects = []
+    n = inst.n_vars
+    sound = {}
+    for ci, c in enumerate(inst.constraints):
+        scope = c.scope
+        if sound.get(scope) == len(c.values):
+            continue
+        who = c.label or f"constraint #{ci}"
+        if len(scope) == 0:
+            defects.append(f"{who}: empty scope")
+            continue
+        repeats = len(set(scope)) != len(scope)
+        if repeats:
+            defects.append(f"{who}: scope {scope} repeats a variable")
+        if min(scope) < 0 or max(scope) >= n:
+            bad = [v for v in scope if not (0 <= v < n)]
+            defects.append(f"{who}: scope refers to unknown variable(s) {bad}")
+            continue
+        expected = math.prod(inst.sizes[v] for v in scope)
+        if not repeats:
+            sound[scope] = expected
+        if len(c.values) != expected:
+            defects.append(f"{who}: tensor has {len(c.values)} entries, expected {expected}")
+    return defects
+
+
+@st.composite
+def defective_instances(draw):
+    """Instances whose constraints share a few drawn scopes, some of them
+    empty, with repeated or unknown variables, and whose tensors are
+    sometimes one entry short or long; domains of 1-3 states, all of one
+    size in about half of them.  The shape comes from a drawn seed, as in
+    `cases()`."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(0, 5)
+    q = rng.randint(1, 3)
+    sizes = [q if rng.random() < 0.5 else rng.randint(1, 3) for _ in range(n)]
+    domains = tuple(DomainSpec(tuple("ABC"[:size])) for size in sizes)
+
+    def variable() -> int:  # out of range (-1 or n) about one time in ten
+        return rng.choice((-1, n)) if not n or rng.random() < 0.1 else rng.randrange(n)
+
+    def scope() -> tuple[int, ...]:  # distinct known variables three times in four
+        if n and rng.random() < 0.75:
+            return tuple(rng.sample(range(n), rng.randint(1, min(n, 4))))
+        return tuple(variable() for _ in range(rng.randint(0, 4)))
+
+    pool = [scope() for _ in range(rng.randint(1, 4))]
+    constraints = []
+    for i in range(rng.randint(0, 8)):
+        scope = rng.choice(pool)
+        known = all(0 <= v < n for v in scope)
+        length = math.prod(sizes[v] for v in scope) if known else 1
+        length += rng.choice((0,) * 8 + (-1, 1))
+        constraints.append(ValuedConstraint(scope, (0,) * max(length, 0), rng.choice(("", f"c{i}"))))
+    return VcspInstance(domains, tuple(constraints))
+
+
+@STRUCTURE
+@given(defective_instances())
+def test_validate_equals_its_constraint_by_constraint_reference(inst):
+    want = _reference_defects(inst)
+    if not want:
+        event("valid, " + ("one domain size" if len(set(inst.sizes)) == 1 else "mixed sizes"))
+    for kind in ("empty scope", "repeats a variable", "unknown variable", "tensor has"):
+        if any(kind in d for d in want):
+            event(f"defect: {kind}")
+    lengths: dict[tuple[int, ...], set[int]] = {}
+    for c in inst.constraints:
+        lengths.setdefault(c.scope, set()).add(len(c.values))
+    if any(len(ls) > 1 for ls in lengths.values()):
+        event("a scope shared with mixed tensor lengths")
+    assert inst.validate() == want
+
+
+def _reference_decomposition_report(inst: VcspInstance, decomp: PathDecomposition):
+    """check_path_decomposition's report, found by intersecting the bag sets
+    of each distinct scope's variables."""
+    n = inst.n_vars
+    bags = decomp.bags
+    var_bags: dict[int, list[int]] = {}
+    for bi, bag in enumerate(bags):
+        for v in bag:
+            if not (0 <= v < n):
+                return DecompositionReport(None, f"bag {bi} contains unknown variable {v}")
+            var_bags.setdefault(v, []).append(bi)
+
+    bag_sets = {v: set(bs) for v, bs in var_bags.items()}
+    seen: set[tuple[int, ...]] = set()
+    for c in inst.constraints:
+        if c.scope in seen:
+            continue
+        seen.add(c.scope)
+        covering: set[int] | None = None
+        for v in c.scope:
+            s = bag_sets.get(v)
+            if not s:
+                covering = None
+                break
+            covering = set(s) if covering is None else covering & s
+            if not covering:
+                break
+        if not covering:
+            who = c.label or f"scope {sorted(c.scope)}"
+            return DecompositionReport(
+                None, f"scope of {who} ({sorted(c.scope)}) is not inside any bag"
+            )
+
+    for v, bs in var_bags.items():
+        lo, hi = min(bs), max(bs)
+        if hi - lo + 1 != len(set(bs)):
+            return DecompositionReport(
+                None,
+                f"variable {v} appears in bags {sorted(set(bs))}, "
+                "which is not a contiguous interval",
+            )
+
+    width = max((len(b) for b in bags), default=0) - 1
+    return DecompositionReport(width)
+
+
+BIT = DomainSpec(("0", "1"), frozenset({(0, 1)}))
+
+
+@st.composite
+def decomposed_instances(draw):
+    """(instance, decomposition) over 1-6 bits and 0-6 bags.  Most bag lists give each
+    variable one interval of bags (or none); some then put a variable in a
+    bag two or more past its interval, and some are random sets, so
+    variables can leave and come back.  A few have no bags, and a few get a
+    bag entry that is not a variable.  Scopes are empty, copied from an
+    earlier constraint under another label, drawn inside one bag in a random
+    order (half of them with the variable that enters last put first), or
+    drawn from all variables (and now and then an unknown id).
+
+    The shape comes from a drawn seed, as in `cases()`: hypothesis's own
+    draws lean so far toward their first choices that non-contiguous
+    variables and scopes in no common bag would be rare."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(1, 6)
+    layout = rng.choice(("intervals",) * 3 + ("gap",) * 2 + ("random",) * 2 + ("none",))
+    n_bags = 0 if layout == "none" else rng.randint(1, 6)
+    bags: list[set[int]] = [set() for _ in range(n_bags)]
+    if layout == "random":
+        for bag in bags:
+            bag.update(rng.choices(range(n), k=rng.randint(1, 4)))
+    elif n_bags:
+        for v in range(n):
+            if rng.random() < 0.8:
+                lo = rng.randrange(n_bags)
+                hi = rng.randint(lo, n_bags - 1)
+                for bi in range(lo, hi + 1):
+                    bags[bi].add(v)
+                if layout == "gap" and hi + 2 < n_bags:
+                    bags[rng.randint(hi + 2, n_bags - 1)].add(v)
+    if n_bags and rng.random() < 0.1:
+        rng.choice(bags).add(rng.choice((-1, n, n + 3)))
+    scopes: list[tuple[int, ...]] = []
+    constraints = []
+    held = [sorted(b) for b in bags if b]
+    enters = {v: bi for bi in reversed(range(n_bags)) for v in bags[bi]}
+    for i in range(rng.randint(0, 6)):
+        kind = rng.choice(("empty",) + ("shared",) * 2 + ("in a bag",) * 3 + ("any",) * 2)
+        if kind == "empty":
+            scope = ()
+        elif kind == "shared" and scopes:
+            scope = rng.choice(scopes)
+        elif kind == "in a bag" and held:
+            bag = rng.choice(held)
+            scope = tuple(rng.sample(bag, rng.randint(min(2, len(bag)), len(bag))))
+            if rng.random() < 0.5:  # the last variable to enter comes first
+                scope = tuple(sorted(scope, key=enters.__getitem__, reverse=True))
+        else:
+            ids = range(n + (rng.random() < 0.2))
+            scope = tuple(rng.sample(ids, rng.randint(1, len(ids))))
+        scopes.append(scope)
+        constraints.append(ValuedConstraint(scope, (), rng.choice(("", f"c{i}"))))
+    inst = VcspInstance((BIT,) * n, tuple(constraints))
+    return inst, PathDecomposition(tuple(map(frozenset, bags)))
+
+
+@STRUCTURE
+@given(decomposed_instances())
+def test_path_decomposition_check_equals_its_set_intersection_reference(case):
+    inst, decomp = case
+    want = _reference_decomposition_report(inst, decomp)
+    where: dict[int, list[int]] = {}
+    for bi, bag in enumerate(decomp.bags):
+        for v in bag:
+            where.setdefault(v, []).append(bi)
+    contiguous = all(bs[-1] - bs[0] + 1 == len(bs) for bs in where.values())
+    event("no bags" if not decomp.bags else "contiguous" if contiguous else "not contiguous")
+    covered = [
+        s for s in dict.fromkeys(c.scope for c in inst.constraints)
+        if s and all(v in where for v in s) and set.intersection(*(set(where[v]) for v in s))
+    ]
+    scopes = list(dict.fromkeys(c.scope for c in inst.constraints))
+    if contiguous and all(s and all(v in where for v in s) for s in scopes):
+        event("contiguous, every scope non-empty with its variables in bags")
+    if contiguous and any(where[s[-1]][0] < max(where[v][0] for v in s) for s in covered):
+        event("a covered scope's last variable is not its last to enter")
+    if want.violation is None:
+        event("report: ok")
+    elif want.violation.startswith("bag "):
+        event("report: unknown variable in a bag")
+    elif want.violation.startswith("variable "):
+        event("report: not contiguous")
+    else:
+        scope = next(c.scope for c in inst.constraints if c.scope not in covered)
+        event(
+            "report: empty scope" if not scope
+            else "report: a scope variable in no bag" if any(v not in where for v in scope)
+            else "report: a scope in no bag"
+        )
+        if not all(c.label for c in inst.constraints if c.scope == scope):
+            event("the scope's constraints include an unlabelled one")
+    assert check_path_decomposition(inst, decomp) == want

@@ -8,6 +8,7 @@ import pytest
 
 from ascentlab import (
     PathDecomposition,
+    ValuedConstraint,
     build_2by3,
     build_3by5,
     build_boolean_pw4,
@@ -303,6 +304,50 @@ def test_tampered_decomposition_is_detected():
     shrunk = (frozenset(list(decomp.bags[0])[:-1]),) + decomp.bags[1:]
     report = check_path_decomposition(inst, PathDecomposition(shrunk))
     assert not report.ok
+
+
+def _pathwidth_with_n3(monkeypatch, tamper) -> dict:
+    """The counterexample of check_pathwidth(4) when the n = 3 build is
+    replaced by tamper(instance, decomposition)."""
+    real = verification.build_boolean_pw4
+
+    def tampered(n):
+        inst, codec, decomp, start = real(n)
+        if n == 3:
+            inst, decomp = tamper(inst, decomp)
+        return inst, codec, decomp, start
+
+    monkeypatch.setattr(verification, "build_boolean_pw4", tampered)
+    report = verification.check_pathwidth(4)
+    assert not report.passed
+    return report.counterexample
+
+
+def test_a_dropped_bag_fails_the_pathwidth_check(monkeypatch):
+    def drop_first_bag(inst, decomp):
+        return inst, PathDecomposition(decomp.bags[1:])
+
+    assert _pathwidth_with_n3(monkeypatch, drop_first_bag) == {
+        "n": 3,
+        "violation": "scope of M1~@G1-G2 ([0, 1, 2, 3, 4]) is not inside any bag",
+    }
+
+
+def test_a_bag_of_six_bits_fails_the_pathwidth_check(monkeypatch):
+    def widen_first_bag(inst, decomp):
+        # bit 5 sits in bags 1 and 2, so it stays contiguous in bags 0..2
+        assert 5 in decomp.bags[1] and 5 not in decomp.bags[0]
+        return inst, PathDecomposition((decomp.bags[0] | {5},) + decomp.bags[1:])
+
+    assert _pathwidth_with_n3(monkeypatch, widen_first_bag) == {"n": 3, "width": 5}
+
+
+def test_an_arity_six_constraint_fails_the_pathwidth_check(monkeypatch):
+    def add_arity_six(inst, decomp):
+        wide = ValuedConstraint(tuple(range(6)), (0,) * 64, "wide")
+        return dataclasses.replace(inst, constraints=inst.constraints + (wide,)), decomp
+
+    assert _pathwidth_with_n3(monkeypatch, add_arity_six) == {"n": 3, "max_arity": 6}
 
 
 def test_helpers_reject_unknown_labels():
