@@ -3,15 +3,15 @@
 Inserting an intermediate state between every pair of adjacent states and
 re-weighting the landscape makes the greedy (steepest) walk pass through the
 exact same main states the ordered walk visited, one intermediate hop apart.
-The expanded instance realizes the padded fitness with constraints of arity
-at most 3.
+The expanded instance, `build_3by5(n) = pad(build_2by3(n))`, realizes the
+padded fitness with constraints of arity at most 3.
 """
 
 from ascentlab import (
+    ExpandedLandscape,
     build_2by3,
     build_3by5,
     canonical_start,
-    expand_landscape,
     f_max,
     ordered_ascent,
     simulate_ascent,
@@ -21,7 +21,7 @@ from ascentlab import (
 
 n = 4
 base = build_2by3(n)
-landscape = expand_landscape(base)
+landscape = ExpandedLandscape(base)
 
 base_trace = ordered_ascent(base, canonical_start("2by3", n))
 predicted = simulate_ascent(base_trace, landscape)

@@ -9,12 +9,12 @@ fitness ceiling, and the checker produces the witness.
 """
 
 from ascentlab import (
+    ExpandedLandscape,
     build_2by3,
     build_boolean_pw4,
     canonical_start,
     check_path_decomposition,
     decode_assignment,
-    expand_landscape,
     f_max,
     ordered_ascent,
     simulate_ascent,
@@ -34,7 +34,7 @@ print(f"steepest walk from {''.join(map(str, start))}: "
       f"{greedy.length} steps (= 2 * f_max({n}) = {2 * f_max(n)})")
 
 base = build_2by3(n)
-sim = simulate_ascent(ordered_ascent(base, canonical_start("2by3", n)), expand_landscape(base))
+sim = simulate_ascent(ordered_ascent(base, canonical_start("2by3", n)), ExpandedLandscape(base))
 decoded = codec.decode_walk(greedy)
 print(f"decoded walk equals the predicted simulation: {decoded == [list(s) for s in sim.states()]}")
 
@@ -48,6 +48,6 @@ print()
 print("what the adjacency penalty is for:")
 small, small_codec, _, _ = build_boolean_pw4(2)
 witness = pw4_equivalence_violation(
-    without_constraints(small, "J~"), small_codec, expand_landscape(build_2by3(2))
+    without_constraints(small, "J~"), small_codec, ExpandedLandscape(build_2by3(2))
 )
 print(f"  without it (n=2): {witness}")

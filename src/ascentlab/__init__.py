@@ -1,7 +1,7 @@
 """Exact-integer valued-CSP landscapes with provably long local-search ascents.
 
 The package builds three related instance families (an alternating 2/3-state
-chain, its intermediate-state expansion over 3/5-state domains, and an
+chain, its padding over 3/5-state domains by the general `pad`, and an
 arity-5 Boolean re-encoding with a width-4 path decomposition), runs
 deterministic steepest/ordered/first-improvement ascents over them with exact
 integer arithmetic, and ships brute-force checkers that confirm the families'
@@ -30,8 +30,8 @@ from .constructions import (
     build_family,
     canonical_start,
     decode_assignment,
-    expand_landscape,
     f_max,
+    pad,
     simulate_ascent,
     weight_m,
 )

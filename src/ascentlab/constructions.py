@@ -5,25 +5,26 @@ alternate between two and three states; its geometric weight schedule makes
 the minimal-index improving move always gain exactly 1, so an ordered ascent
 from the all-A start walks through every fitness value up to the maximum.
 
-The expanded family ("3by5") inserts an intermediate state between every pair
-of adjacent states and rebuilds the fitness so that a steepest ascent retraces
-the ordered ascent at twice the length.  The Boolean family ("bool-pw4")
-re-encodes the expanded domains with one-hot/two-hot bit collections and
-splits the wide minimisation constraints so that every constraint has arity
-at most 5 while the constraint graph keeps pathwidth 4.
+The padded family ("3by5") is `pad(build_2by3(n))`.  `pad` works on any
+instance: it inserts an intermediate state between every pair of adjacent
+states and pads the fitness so that a steepest ascent retraces the ordered
+ascent at twice the length.  The Boolean family ("bool-pw4") re-encodes the
+expanded chain with one-hot/two-hot bit collections and splits the wide
+minimisation constraints so that every constraint has arity at most 5 while
+the constraint graph keeps pathwidth 4.
 
-Every family closes its chain the same way: past the last position n lies a
-phantom position n+1 that has no variables and is pinned to A (its only code
-is the empty one, for state A).  A constraint that reaches across to position
-k+1 is written once; at k = n it reads the phantom and so restricts the
-interior table to its A column, and its label ends in "-A".
+Both chain builders close the chain the same way: past the last position n
+lies a phantom position n+1 that has no variables and is pinned to A (its
+only code is the empty one, for state A).  A constraint that reaches across
+to position k+1 is written once; at k = n it reads the phantom and so
+restricts the interior table to its A column, and its label ends in "-A".
 
 Nearly all of what position k contributes does not depend on n: its
 variables, labels and scopes, each table at unit weight, and in bool-pw4 its
-bit collection, bit names and decomposition bags.  Each builder therefore
-reads the rows of position k from a process-wide cache keyed on k and on
-whether k closes the chain, and only multiplies them by what does depend on
-n (the scale 2n+1, which is 1 in 2by3, the bonus n-k+1 and the penalty
+bit collection, bit names and decomposition bags.  Each chain builder
+therefore reads the rows of position k from a process-wide cache keyed on k
+and on whether k closes the chain, and only multiplies them by what does
+depend on n (the bool-pw4 scale 2n+1, the bonus n-k+1 and the penalty
 -(2n+1)*f_max(n)), so building every n up to 200 makes each position's rows
 once.
 """
@@ -31,7 +32,8 @@ once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import NamedTuple, Sequence
 
@@ -42,6 +44,7 @@ from .model import (
     PathDecomposition,
     ValuedConstraint,
     VcspInstance,
+    _strides,
     check_assignment_against,
     neighbors_of,
 )
@@ -50,11 +53,6 @@ from .model import (
 # 2-state column); CHAIN_23 is indexed (2-state row, 3-state column).
 CHAIN_32 = ((0, 2), (1, 1), (2, 0))
 CHAIN_23 = ((0, 1, 0), (1, 0, 1))
-
-# Unit-weight profile of min over the middle 2-state variable of a
-# (3-state, 2-state, 3-state) window; rows/columns are the flanking states.
-ODD_MIN = ((0, 2, 0), (1, 1, 1), (2, 0, 2))
-
 
 def even_min_ab(m: int) -> tuple[tuple[int, int], ...]:
     """Min profile for the A<->B intermediate of an even position, weight m."""
@@ -66,10 +64,12 @@ def even_min_bc(m: int) -> tuple[tuple[int, int], ...]:
     return ((2 * m + 1, 0), (m + 1, m))
 
 
-# Rank-1 split of ODD_MIN used by the Boolean dual coding: for each of the
-# two 2-bit codes that stand for the odd intermediate, the left factor keys
-# on the left flank and the right factor keys on the right flank.  Their sum
-# per code, maximised over the two codes, reproduces ODD_MIN entrywise.
+# Rank-1 split used by the Boolean dual coding: for each of the two 2-bit
+# codes that stand for the odd intermediate, the left factor keys on the
+# left flank and the right factor keys on the right flank.  Their sum per
+# code, maximised over the two codes, reproduces entrywise the unit-weight
+# min profile ((0, 2, 0), (1, 1, 1), (2, 0, 2)) over the middle 2-state
+# variable of a (3-state, 2-state, 3-state) window.
 DUAL_COL = {(0, 0): (0, 1, 2), (1, 1): (2, 1, 0)}
 DUAL_ROW = {(0, 0): (0, -2, 0), (1, 1): (-2, 0, -2)}
 
@@ -128,27 +128,13 @@ def _chain_positions(n: int) -> range:
     return range(1, n + 1)
 
 
-def _chain_domains(n: int) -> tuple[DomainSpec, ...]:
-    """The 2by3 chain's domains, positions 1..n."""
-    return tuple(map(_base_domain, _chain_positions(n)))
-
-
-class _Read:
+class _Read(NamedTuple):
     """How a constraint reads some variables: their domain sizes and the codes
     over them that it keys on, each with its index along the table axis it
-    selects.  `_read` makes equal reads one object, so that tables over them
-    are built once and looked up by identity."""
+    selects.  Equal reads hash alike, so tables over them are built once."""
 
-    __slots__ = ("sizes", "codes")
-
-    def __init__(self, sizes: tuple[int, ...], codes: tuple[tuple[tuple[int, ...], int], ...]):
-        self.sizes = sizes
-        self.codes = codes
-
-
-@cache
-def _read(sizes: tuple[int, ...], codes: tuple[tuple[tuple[int, ...], int], ...]) -> _Read:
-    return _Read(sizes, codes)
+    sizes: tuple[int, ...]
+    codes: tuple[tuple[tuple[int, ...], int], ...]
 
 
 # The variables of a position with a read of them.
@@ -179,20 +165,17 @@ class _Position:
 def _cut(read: _Read, lo: int, hi: int) -> _Read:
     """`read` through its variables lo..hi-1 only."""
     codes = {code[lo:hi]: s for code, s in read.codes}
-    return _read(read.sizes[lo:hi], tuple(codes.items()))
+    return _Read(read.sizes[lo:hi], tuple(codes.items()))
 
 
-_PHANTOM = _Position((), _read((), (((), 0),)), "A", "-A")
+_PHANTOM = _Position((), _Read((), (((), 0),)), "A", "-A")
 
 
 @cache
-def _state_position(k: int, expanded: bool) -> _Position:
-    """Position k of a chain with one variable per position, over its base
-    domain or its expanded one; its main codes are the base states."""
-    base = _base_domain(k)
-    size = _EXPANDED[base].spec.size if expanded else base.size
-    main = _read((size,), tuple(((s,), s) for s in range(base.size)))
-    return _Position((k - 1,), main, str(k))
+def _state_position(k: int) -> _Position:
+    """Position k of the 2by3 chain: its one variable, read by its states."""
+    size = _base_domain(k).size
+    return _Position((k - 1,), _Read((size,), tuple(((s,), s) for s in range(size))), str(k))
 
 
 @cache
@@ -288,8 +271,8 @@ def _assemble(
 @cache
 def _2by3_rows(k: int, closing: bool) -> _Rows:
     """Position k's one row: the chain table to the next position."""
-    a = _state_position(k, False)
-    b = _PHANTOM if closing else _state_position(k + 1, False)
+    a = _state_position(k)
+    b = _PHANTOM if closing else _state_position(k + 1)
     return _Rows(((_link_row(k, a, b, ""),),))
 
 
@@ -299,7 +282,7 @@ def build_2by3(n: int) -> VcspInstance:
     Odd positions hold {A, B}; even positions hold {A, B, C} with moves only
     between A-B and B-C.  Consecutive positions share a weighted chain table.
     """
-    domains = _chain_domains(n)
+    domains = tuple(map(_base_domain, _chain_positions(n)))
     constraints = _assemble([_2by3_rows(k, k == n) for k in _chain_positions(n)], 1)
     inst = VcspInstance(domains, constraints, family="2by3", base_n=n)
     return _finish(inst, f"build_2by3({n})")
@@ -485,11 +468,6 @@ class ExpandedLandscape:
         return neighbors_of(self.domains, x)
 
 
-def expand_landscape(base: VcspInstance, order: Sequence[int] | None = None) -> ExpandedLandscape:
-    """Expanded landscape (intermediate states plus the padded fitness)."""
-    return ExpandedLandscape(base, order)
-
-
 def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentTrace:
     """Double a base ascent into main/intermediate alternation.
 
@@ -526,50 +504,73 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
     )
 
 
-# -- expanded instance (alternating 3-state and 5-state domains) --------------
+# -- the padding construction ------------------------------------------------
 
 
-@cache
-def _3by5_rows(k: int, closing: bool) -> _Rows:
-    """Position k's rows in two groups: the lifted chain table to the next
-    position; the unary intermediate bonus and, past position 1, the ternary
-    minimisation constraint over the two flanks and the intermediate."""
-    # 3-state positions have one intermediate (id 2) with profile ODD_MIN;
-    # 5-state positions have sAB (id 3) and sBC (id 4).
-    odd = k % 2 == 1
-    me = _state_position(k, True)
-    right = _PHANTOM if closing else _state_position(k + 1, True)
-    inter = (2,) if odd else (3, 4)
-    ids = _read(me.main.sizes, tuple(((s,), i) for i, s in enumerate(inter)))
-    label = f"{'U' if odd else 'V'}@{k}"
-    middle = [_row((me.at(ids),), (1,) * len(inter), label, factor=_BONUS)]
-    l = k // 2
-    if l >= 1:
-        m = weight_m(l)
-        if odd:
-            stem, w, profiles = "T", m + 1, (ODD_MIN,)
-        else:
-            stem, w, profiles = "S", 1, (even_min_ab(m), even_min_bc(m))
-        left = _state_position(k - 1, True)
-        # table[u][v][i] = profiles[i][u][v]
-        table = tuple(tuple(zip(*rows)) for rows in zip(*profiles))
-        label = f"{stem}^{l}@{k}{right.pin}"
-        middle.append(_row((left.at(), right.at(), me.at(ids)), table, label, w))
-    return _Rows(((_link_row(k, me, right, "^"),), tuple(middle)))
+def pad(base: VcspInstance) -> VcspInstance:
+    """The padded instance of `base`: steepest ascent on it walks an ordered
+    ascent of `base` in variable order at twice the length, and the ordered
+    engine's own walk wherever that walk has no ambiguous step.
+
+    Each domain gains one intermediate state per transition pair.  Each base
+    constraint is shifted by its minimum (which changes no walk) and lifted
+    at 2n+1 times its values under its own label, 0 once a variable in its
+    scope is intermediate.  Each variable k with an intermediate gets a
+    constraint "P@<k's name>" over k and its neighbours, nonzero only where k
+    is intermediate between u and v and every neighbour is main: there it is
+    (2n+1)*min(f(u), f(v)), plus k's bonus n-k when f(u) != f(v), f summing
+    the shifted constraints on k.  So wherever at most one variable is
+    intermediate, the fitness is `ExpandedLandscape`'s on the shifted base.
+    """
+    n = base.n_vars
+    scale = 2 * n + 1
+    doms = tuple(map({d: ExpandedDomain.of(d) for d in set(base.domains)}.get, base.domains))
+    sizes = tuple(d.spec.size for d in doms)
+
+    def spread(scope: tuple[int, ...], over: Sequence[int], of: tuple[int, ...]) -> list[int]:
+        """Where each all-main state of `scope`, in row-major order, lies in a
+        row-major tensor over `of` (domain sizes `over`), which ignores the rest."""
+        strides = dict(_strides(of, over))
+        at = [0]
+        for var in scope:
+            offsets = [s * strides.get(var, 0) for s in range(base.sizes[var])]
+            at = [i + o for i in at for o in offsets]
+        return at
+
+    constraints = []
+    on: list[list] = [[] for _ in doms]  # per variable: (scope, shifted values)
+    for c in base.constraints:
+        low = min(c.values)
+        shifted = [v - low for v in c.values]
+        values = [0] * math.prod(sizes[var] for var in c.scope)
+        for i, v in zip(spread(c.scope, sizes, c.scope), shifted):
+            values[i] = scale * v
+        constraints.append(ValuedConstraint(c.scope, values, c.label))
+        for k in c.scope:
+            on[k].append((c.scope, shifted))
+    for k, dom in enumerate(doms):
+        if not dom.pairs:
+            continue
+        scope = (k,) + base.var_neighbors(k)
+        f = [0] * math.prod(base.sizes[var] for var in scope)
+        for of, shifted in on[k]:
+            f = [a + shifted[i] for a, i in zip(f, spread(scope, base.sizes, of))]
+        # k varies slowest: its state w is run w of `rest`, its states `step` apart.
+        at = spread(scope, sizes, scope)
+        rest, step = len(f) // dom.n_main, math.prod(sizes[var] for var in scope[1:])
+        values = [0] * step * sizes[k]
+        for r in range(rest):
+            for i, (u, v) in enumerate(dom.pairs, dom.n_main):
+                fu, fv = f[u * rest + r], f[v * rest + r]
+                values[at[r] + i * step] = scale * min(fu, fv) + (n - k if fu != fv else 0)
+        constraints.append(ValuedConstraint(scope, values, f"P@{base.var_names[k]}"))
+    domains = tuple(d.spec for d in doms)
+    return VcspInstance(domains, tuple(constraints), base_n=base.base_n, var_names=base.var_names)
 
 
 def build_3by5(n: int) -> VcspInstance:
-    """Expanded chain instance whose fitness equals the padded landscape.
-
-    Binary chain tables are lifted (zero on intermediates) at (2n+1) times
-    their base weight.  Each interior position also gets a ternary
-    minimisation constraint keyed on its intermediate state(s) plus a small
-    unary bonus, so single-intermediate assignments take the padded value
-    exactly.
-    """
-    domains = tuple(_EXPANDED[d].spec for d in _chain_domains(n))
-    constraints = _assemble([_3by5_rows(k, k == n) for k in _chain_positions(n)], 2 * n + 1)
-    inst = VcspInstance(domains, constraints, family="3by5", base_n=n)
+    """The padded 2by3 chain, over alternating 3-state and 5-state domains."""
+    inst = replace(pad(build_2by3(n)), family="3by5")
     return _finish(inst, f"build_3by5({n})")
 
 
@@ -706,8 +707,8 @@ _PW4_CODES = {d: _pw4_codes(e) for d, e in _EXPANDED.items()}
 
 # The intermediate codes that the constraints key on: the two dual codes of
 # an odd collection, and sAB then sBC of an even one.
-_DUAL = _read((2, 2), (((0, 0), 0), ((1, 1), 1)))
-_SIGMA = _read((2, 2, 2), (((1, 1, 0), 0), ((0, 1, 1), 1)))
+_DUAL = _Read((2, 2), (((0, 0), 0), ((1, 1), 1)))
+_SIGMA = _Read((2, 2, 2), (((1, 1, 0), 0), ((0, 1, 1), 1)))
 # The split minimisation parts as tables over (left flank, dual code) and
 # (dual code, right flank).
 _DUAL_LEFT = tuple(zip(*(DUAL_COL[code] for code, _ in _DUAL.codes)))
@@ -727,7 +728,7 @@ def _pw4_collection(k: int) -> CollectionCodec:
 def _pw4_position(k: int) -> _Position:
     """Position k's bits, read through their one-hot main codes."""
     c = _pw4_collection(k)
-    main = _read((2,) * c.width, tuple((code, s) for code, s in c.codes if s < c.width))
+    main = _Read((2,) * c.width, tuple((code, s) for code, s in c.codes if s < c.width))
     return _Position(tuple(range(c.offset, c.offset + c.width)), main, f"G{k}")
 
 

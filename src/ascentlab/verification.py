@@ -25,7 +25,6 @@ from .constructions import (
     build_3by5,
     build_boolean_pw4,
     canonical_start,
-    expand_landscape,
     f_max,
     pw4_equivalence_violation,
     simulate_ascent,
@@ -208,7 +207,7 @@ def _doubled_walk(n: int) -> AscentTrace:
     expanded landscape: the walk steepest ascent must retrace."""
     base = build_2by3(n)
     trace = ordered_ascent(base, canonical_start("2by3", n))
-    return simulate_ascent(trace, expand_landscape(base))
+    return simulate_ascent(trace, ExpandedLandscape(base))
 
 
 def _doubled_length_failure(n: int, trace: AscentTrace) -> tuple[bool, str, dict] | None:
@@ -332,7 +331,7 @@ def check_padding(n_max: int) -> CheckReport:
 
     def body():
         for n in range(2, n_max + 1):
-            bad = padding_violation(build_3by5(n), expand_landscape(build_2by3(n)))
+            bad = padding_violation(build_3by5(n), ExpandedLandscape(build_2by3(n)))
             if bad is not None:
                 bad["n"] = n
                 return False, f"n={n}: padding rule violated", bad
@@ -350,7 +349,7 @@ def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
         for n in range(2, n_equiv + 1):
             inst, codec, _, _ = build_boolean_pw4(n)
             problem = pw4_equivalence_violation(
-                inst, codec, expand_landscape(build_2by3(n))
+                inst, codec, ExpandedLandscape(build_2by3(n))
             )
             if problem is not None:
                 return False, f"n={n}: {problem}", {"n": n, "violation": problem}

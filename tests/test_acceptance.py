@@ -9,6 +9,7 @@ from __future__ import annotations
 import time
 
 from ascentlab import (
+    ExpandedLandscape,
     PathDecomposition,
     build_2by3,
     build_3by5,
@@ -16,7 +17,6 @@ from ascentlab import (
     canonical_start,
     check_path_decomposition,
     exhaustive_steepest_oracle,
-    expand_landscape,
     f_max,
     ordered_ascent,
     rank1_split,
@@ -66,7 +66,7 @@ def test_criterion_3_steepest_simulates_the_ordered_ascent():
     for n in range(2, 15):
         base = build_2by3(n)
         sim = simulate_ascent(
-            ordered_ascent(base, canonical_start("2by3", n)), expand_landscape(base)
+            ordered_ascent(base, canonical_start("2by3", n)), ExpandedLandscape(base)
         )
         inst = build_3by5(n)
         eng = steepest_ascent(inst, canonical_start("3by5", n))
@@ -80,7 +80,7 @@ def test_criterion_3_steepest_simulates_the_ordered_ascent():
 
 def test_criterion_4_padding_rules_hold_exhaustively():
     for n in range(2, 7):
-        assert padding_violation(build_3by5(n), expand_landscape(build_2by3(n))) is None
+        assert padding_violation(build_3by5(n), ExpandedLandscape(build_2by3(n))) is None
     print("PASS criterion 4: padding rules hold over every assignment for n<=6")
 
 
@@ -90,7 +90,7 @@ def test_criterion_5_boolean_walk_replays_the_simulation():
     for n in range(2, 13):
         base = build_2by3(n)
         sim = simulate_ascent(
-            ordered_ascent(base, canonical_start("2by3", n)), expand_landscape(base)
+            ordered_ascent(base, canonical_start("2by3", n)), ExpandedLandscape(base)
         )
         inst, codec, _, start = build_boolean_pw4(n)
         eng = steepest_ascent(inst, start)
@@ -101,7 +101,7 @@ def test_criterion_5_boolean_walk_replays_the_simulation():
         assert eng.fitness_values() == sim.fitness_values()
     for n in range(2, 5):
         inst, codec, _, _ = build_boolean_pw4(n)
-        assert pw4_equivalence_violation(inst, codec, expand_landscape(build_2by3(n))) is None
+        assert pw4_equivalence_violation(inst, codec, ExpandedLandscape(build_2by3(n))) is None
     print("PASS criterion 5: boolean steepest walk replays the simulation for n=2..12")
 
 
@@ -155,9 +155,9 @@ def test_criterion_8_delta_engine_equals_the_from_scratch_oracle():
 
 def test_criterion_9_fault_injection_sensitivity():
     inst = build_3by5(3)
-    landscape = expand_landscape(build_2by3(3))
-    bonus_labels = [c.label for c in inst.constraints if c.label[0] in "UV"]
-    assert bonus_labels  # one per position
+    landscape = ExpandedLandscape(build_2by3(3))
+    bonus_labels = [c.label for c in inst.constraints if c.label.startswith("P@")]
+    assert len(bonus_labels) == 3  # one per position
     for label in bonus_labels:
         bad = padding_violation(with_bumped_constraint(inst, label), landscape)
         assert bad is not None and "assignment" in bad

@@ -16,6 +16,7 @@ import pytest
 import ascentlab
 from ascentlab import (
     DomainSpec,
+    ExpandedLandscape,
     InvalidAssignmentError,
     ValuedConstraint,
     VcspInstance,
@@ -24,7 +25,6 @@ from ascentlab import (
     build_family,
     canonical_start,
     exhaustive_steepest_oracle,
-    expand_landscape,
     f_max,
     first_improvement_ascent,
     ordered_ascent,
@@ -74,7 +74,7 @@ def test_engines_on_the_expanded_landscape(n):
     # ExpandedLandscape's blanket is every other variable, so the engines'
     # memo never hits and steepest rescans every variable after each move.
     base = build_2by3(n)
-    landscape = expand_landscape(base)
+    landscape = ExpandedLandscape(base)
     start = canonical_start("2by3", n)
     steep = steepest_ascent(landscape, start)
     assert steep.length == 2 * f_max(n) and steep.tie_steps == 0
@@ -87,7 +87,7 @@ def test_engines_on_the_expanded_landscape(n):
 def test_ordered_on_the_expanded_landscape(n, length):
     # Every other variable is in each blanket, so a move record's key
     # increments span the whole assignment.
-    landscape = expand_landscape(build_2by3(n))
+    landscape = ExpandedLandscape(build_2by3(n))
     full = ordered_ascent(landscape, (A,) * n)
     summary = ordered_ascent(landscape, (A,) * n, record_steps=False)
     assert full.length == length and full.terminal

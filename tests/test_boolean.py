@@ -9,12 +9,12 @@ import pytest
 
 from ascentlab import (
     BuildError,
+    ExpandedLandscape,
     build_2by3,
     build_boolean_pw4,
     canonical_start,
     check_path_decomposition,
     decode_assignment,
-    expand_landscape,
     f_max,
     ordered_ascent,
     simulate_ascent,
@@ -175,7 +175,7 @@ def test_arity_and_width(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_master_invariant_exhaustive(n):
     inst, codec, _, _ = build_boolean_pw4(n)
-    landscape = expand_landscape(build_2by3(n))
+    landscape = ExpandedLandscape(build_2by3(n))
     assert pw4_equivalence_violation(inst, codec, landscape) is None
 
 
@@ -214,7 +214,7 @@ def test_frozen_walk_at_n2():
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_decoded_walk_replays_the_simulation(n):
     base = build_2by3(n)
-    sim = simulate_ascent(ordered_ascent(base, (A,) * n), expand_landscape(base))
+    sim = simulate_ascent(ordered_ascent(base, (A,) * n), ExpandedLandscape(base))
     inst, codec, _, start = build_boolean_pw4(n)
     tr = steepest_ascent(inst, start)
     assert tr.length == 2 * f_max(n)

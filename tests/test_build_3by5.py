@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from ascentlab import (
+    ExpandedLandscape,
     build_2by3,
     build_3by5,
-    expand_landscape,
     f_max,
     ordered_ascent,
     simulate_ascent,
@@ -27,11 +27,14 @@ def test_domain_sizes_and_arity():
     assert inst.max_arity == 3
 
 
-def test_interior_scopes_put_the_monitored_variable_last():
+def test_padding_scopes_put_the_padded_variable_first():
     inst = build_3by5(4)
     by_label = {c.label: c for c in inst.constraints}
-    assert by_label["T^1@3"].scope == (1, 3, 2)
-    assert by_label["S^1@2"].scope == (0, 2, 1)
+    assert by_label["P@x1"].scope == (0, 1)
+    assert by_label["P@x2"].scope == (1, 0, 2)
+    assert by_label["P@x3"].scope == (2, 1, 3)
+    assert by_label["P@x4"].scope == (3, 2)
+    assert len(inst.constraints) == 2 * 4
 
 
 def test_all_main_fitness_scales():
@@ -43,12 +46,12 @@ def test_all_main_fitness_scales():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_master_invariant_exhaustive(n):
-    assert padding_violation(build_3by5(n), expand_landscape(build_2by3(n))) is None
+    assert padding_violation(build_3by5(n), ExpandedLandscape(build_2by3(n))) is None
 
 
 def test_steepest_equals_simulated_at_n2():
     base = build_2by3(2)
-    sim = simulate_ascent(ordered_ascent(base, (A, A)), expand_landscape(base))
+    sim = simulate_ascent(ordered_ascent(base, (A, A)), ExpandedLandscape(base))
     eng = steepest_ascent(build_3by5(2), (A, A))
     assert traces_equivalent(sim, eng)
     assert eng.steps == (
@@ -76,7 +79,7 @@ def test_steepest_is_tie_free_and_doubled(n):
 def test_engine_on_the_formula_landscape_matches_the_instance(n):
     # The same engine run directly over the padded-fitness oracle must walk
     # the same path as over the constraint implementation.
-    landscape = expand_landscape(build_2by3(n))
+    landscape = ExpandedLandscape(build_2by3(n))
     via_formulas = steepest_ascent(landscape, (A,) * n)
     via_constraints = steepest_ascent(build_3by5(n), (A,) * n)
     assert traces_equivalent(via_formulas, via_constraints)

@@ -46,12 +46,12 @@ DIGESTS = {
     ("2by3", 5): "06950dfab807b78c274547365dcacaaad5281574194be4eaff00c062b7face96",
     ("2by3", 8): "e0c593aad61f83b162e1746d2a4d180532f8cffd62b12b107766895865edb66c",
     ("2by3", 13): "87666d4f66433cc29dce49bacd5e3268c13cac1657fcc78f562aaad46955ca93",
-    ("3by5", 2): "c30876f09d137cc9a71c3fc0c1c6edfbd9bc4479498d734595bd71620ad8cfcb",
-    ("3by5", 3): "ef41714fdaa7dd87bb9972027b7cc8d3662136bd0d4227b868cffae59d2b2336",
-    ("3by5", 4): "2b1cfedcb94ed230ac5441b28a7f35b7572d42f3d698883299522fb6fc50021c",
-    ("3by5", 5): "0b15a4c2651ae8a2a121e7c957c88951c8406e9760852cd56d283ae0ca40c714",
-    ("3by5", 8): "24db6b157f9e6cb1f8e37df7140bdfcce0f0e2ef19b9b73a1b84878e07489dbf",
-    ("3by5", 13): "3aeecc25f3c37432817abc3071df014dcedbf78db3896630fbf83c56849e7d99",
+    ("3by5", 2): "c39bef8d9fb9b1ac7e94cb2480a744ec4ea4f4a48bfc4ad47384fb0689bb7be4",
+    ("3by5", 3): "9e8d01e0af4e6e043c0a1973ade024fde45eb6fe889235466965173448ac1553",
+    ("3by5", 4): "48461f2df6ae222bbb043d2827c2e4b5bfb0205543dbd9add29d71e45ac25508",
+    ("3by5", 5): "47646c99703ed64190cc813cbdfce35cd053dd99cae59495078f9d0ffc124231",
+    ("3by5", 8): "44673b2112819fbc8a20e34796b37e950b91a396a2cd538a03410b537949415d",
+    ("3by5", 13): "41568a415a506da1b8d60ee4ef8d79c668b71076f800c43983154a58dc98a900",
     ("bool-pw4", 2): "a291da0e354be0d23676e12920b2ddd7a515bfef4044d9388b29479746dca087",
     ("bool-pw4", 3): "9e7ae6dc7ff4e3534d9cdaff638aaeb1be241201fafd360fab625b439ab5a843",
     ("bool-pw4", 4): "5a19adc9d6ec36fe95198b0172ef8d99208436104acd1710ab7279d33b146cfe",
@@ -59,7 +59,7 @@ DIGESTS = {
     ("bool-pw4", 8): "cb3323e90298c6f2fa5d82ac551934950e63d3ba8a171709519c808f827c8d8c",
     ("bool-pw4", 13): "ba05a122995835e9e8f04cfadb7d3fdbe8769ff9f3501736936ba48fdb110f06",
     ("2by3", 60): "74884106975a6581123460136f8acd64855acf5ba95103c13624cf5ad42227fe",
-    ("3by5", 60): "02749a8d3e595d4161a1ad784d2f8403b7c92dd963600c233fb7567da9049472",
+    ("3by5", 60): "974ea608c60aa5f44a37d9ed4928e9c2f9467b9cf5830d287c98a83e63ef33b4",
     ("bool-pw4", 200): "4c6bbc289b30fb46d1580b5d0d5130265035d6aeba812e9fd1a50d50c50781e3",
 }
 
@@ -100,7 +100,7 @@ FIRST_DIGESTS = {
     ("2by3", 6, 1): "5a941b414e2e1297903c24fa98a09ab275810337c9e17833d44ff0c6bbec308a",
     ("2by3", 6, 2): "a084248d4ebd68aa77173f73f19ff9b165819ff5ae6f37968c2de0e1770f983d",
     ("3by5", 4, 0): "8512d40dcc9b31b24997919a3b9b4aff5dd122ee2edff726c167e028894467fb",
-    ("3by5", 4, 1): "90aa221b17620450a6d8dc477b46f413e7f4b8cc737bc244dd3270ab7b138481",
+    ("3by5", 4, 1): "1c2c241f46baa5a451cf1ba705867c0afe8c06bf00a635b5920d1923aca78202",
     ("3by5", 4, 2): "f1dfd09a07567be1d4b7e7af8d3499a71cfff7bf5d03e542fbf76ccd01a76942",
     ("bool-pw4", 4, 0): "fe769684da024d0815fc8b33cad079fe6348ec34d9979efb5ae8e1b9e45b1e8e",
     ("bool-pw4", 4, 1): "2d747eb21c78fc3a082865dcf23db52a6435a15f80b6a414c97916545a149b92",

@@ -6,10 +6,10 @@ import itertools
 
 from ascentlab import (
     DomainSpec,
+    ExpandedLandscape,
     ValuedConstraint,
     VcspInstance,
     build_2by3,
-    expand_landscape,
     ordered_ascent,
     simulate_ascent,
 )
@@ -18,7 +18,7 @@ A, B, C = 0, 1, 2
 
 
 def test_expanded_domains_and_transitions():
-    ls = expand_landscape(build_2by3(2))
+    ls = ExpandedLandscape(build_2by3(2))
     odd, even = ls.domains
     assert odd.states == ("A", "B", "sAB")
     assert odd.transitions == frozenset({(0, 2), (1, 2)})
@@ -28,7 +28,7 @@ def test_expanded_domains_and_transitions():
 
 def test_main_states_keep_their_ids():
     base = build_2by3(3)
-    ls = expand_landscape(base)
+    ls = ExpandedLandscape(base)
     for d, e in zip(base.domains, ls.domains):
         assert e.states[: d.size] == d.states
     walk = ordered_ascent(base, (B, A, B))
@@ -36,7 +36,7 @@ def test_main_states_keep_their_ids():
 
 
 def test_padded_fitness_examples():
-    ls = expand_landscape(build_2by3(2))
+    ls = ExpandedLandscape(build_2by3(2))
     assert ls.fitness((A, A)) == 0
     assert ls.fitness((2, A)) == 2  # intermediate at position 1
     assert ls.fitness((B, 3)) == 6  # intermediate at position 2
@@ -44,7 +44,7 @@ def test_padded_fitness_examples():
 
 def test_all_main_assignments_scale_exactly():
     base = build_2by3(3)
-    ls = expand_landscape(base)
+    ls = ExpandedLandscape(base)
     for x in base.all_assignments():
         assert ls.fitness(x) == 7 * base.fitness(x)
 
@@ -56,7 +56,7 @@ def test_tied_completions_drop_the_bonus():
         DomainSpec(("A", "B"), frozenset({(0, 1)})),
     )
     base = VcspInstance(doms, (ValuedConstraint((1,), (0, 3), "u"),))
-    ls = expand_landscape(base)
+    ls = ExpandedLandscape(base)
     assert ls.fitness((2, A)) == 0  # completions tie at 0: no positional bonus
     assert ls.fitness((2, B)) == 5 * 3
     assert ls.fitness((A, 2)) == 1 + 5 * 0  # completions 0 vs 3 differ: bonus 1
@@ -64,7 +64,7 @@ def test_tied_completions_drop_the_bonus():
 
 def test_two_intermediates_take_the_scaled_minimum():
     base = build_2by3(2)
-    ls = expand_landscape(base)
+    ls = ExpandedLandscape(base)
     got = ls.fitness((2, 3))
     want = 5 * min(base.fitness((u, v)) for u in (A, B) for v in (A, B))
     assert got == want
@@ -73,7 +73,7 @@ def test_two_intermediates_take_the_scaled_minimum():
 
 def test_pair_ceiling_has_nonnegative_slack():
     base = build_2by3(4)
-    ls = expand_landscape(base)
+    ls = ExpandedLandscape(base)
     for x in itertools.product(*(range(d.size) for d in ls.domains)):
         inter = [k for k in range(4) if x[k] >= ls.doms[k].n_main]
         if len(inter) == 2:
@@ -82,7 +82,7 @@ def test_pair_ceiling_has_nonnegative_slack():
 
 def test_custom_order_moves_the_bonus():
     base = build_2by3(2)
-    ls = expand_landscape(base, order=(1, 0))
+    ls = ExpandedLandscape(base, order=(1, 0))
     # position 2 is now first in the order, so its bonus is n = 2
     assert ls.fitness((B, 3)) == 2 + 5 * 1
 
@@ -90,7 +90,7 @@ def test_custom_order_moves_the_bonus():
 def test_simulation_doubles_the_trace():
     base = build_2by3(2)
     tr = ordered_ascent(base, (A, A))
-    sim = simulate_ascent(tr, expand_landscape(base))
+    sim = simulate_ascent(tr, ExpandedLandscape(base))
     assert sim.length == 10 and sim.terminal
     states = list(sim.states())
     assert states[:3] == [(A, A), (2, A), (B, A)]
@@ -100,5 +100,5 @@ def test_simulation_doubles_the_trace():
 def test_simulation_of_empty_trace():
     base = build_2by3(2)
     tr = ordered_ascent(base, (B, C))
-    sim = simulate_ascent(tr, expand_landscape(base))
+    sim = simulate_ascent(tr, ExpandedLandscape(base))
     assert sim.length == 0 and sim.terminal and sim.final == (B, C)

@@ -1,6 +1,7 @@
 """Property tests on random small VCSPs: the engines against the from-scratch
 checkers and replays, delta evaluation against full fitness, the JSON round
-trip, and the structural checks (`validate`, `check_path_decomposition`)
+trip, `pad` against the expanded landscape and the ordered walk it
+simulates, and the structural checks (`validate`, `check_path_decomposition`)
 against constraint-by-constraint references."""
 
 from __future__ import annotations
@@ -15,22 +16,24 @@ from hypothesis import strategies as st
 from ascentlab import (
     DecompositionReport,
     DomainSpec,
+    ExpandedLandscape,
     PathDecomposition,
     ValuedConstraint,
     VcspInstance,
     check_path_decomposition,
     exhaustive_steepest_oracle,
-    expand_landscape,
     first_improvement_ascent,
     instance_from_json,
     instance_to_json,
     ordered_ascent,
+    pad,
     simulate_ascent,
     steepest_ascent,
     verify_ordered,
 )
 from ascentlab.ascent import AscentTrace, StepRecord
-from ascentlab.verification import traces_equivalent
+from ascentlab.constructions import ExpandedDomain
+from ascentlab.verification import padding_violation, traces_equivalent
 
 SUMMARY_FIELDS = ("length", "terminal", "final", "final_fitness", "tie_steps", "ambiguous_steps")
 
@@ -278,12 +281,102 @@ def test_json_round_trip_gives_back_the_instance(case):
 @given(cases())
 def test_simulated_ascent_takes_its_fitness_from_the_expanded_landscape(case):
     inst, start, order, _ = case
-    landscape = expand_landscape(inst, order)
+    landscape = ExpandedLandscape(inst, order)
     sim = simulate_ascent(ordered_ascent(inst, start, order=order), landscape)
     states = list(sim.states())
     assert sim.fitness_values() == [landscape.fitness(x) for x in states[1:]]
     assert sim.final == states[-1]
     assert sim.final_fitness == landscape.fitness(sim.final)
+
+
+# -- the padding construction against the expanded landscape --------------------------
+
+
+@st.composite
+def pad_cases(draw):
+    """(instance, start) with 2-5 variables of 2-3 states, moves along a
+    path, complete or none, arity 1-3 and signed entries; the entries come
+    from a drawn seed, as in `cases()`."""
+    n = draw(st.integers(2, 5))
+    domains = []
+    for _ in range(n):
+        size = draw(st.integers(2, 3))
+        kind = draw(st.sampled_from(("path", "complete", "empty")))
+        domains.append(DomainSpec(tuple("ABC"[:size]), _moves(size, kind)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from((1, 4)))
+    constraints = []
+    for i in range(draw(st.integers(1, 8))):
+        scope = tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, 3))])
+        cells = math.prod(domains[v].size for v in scope)
+        table = tuple(rng.randint(-spread, spread) for _ in range(cells))
+        constraints.append(ValuedConstraint(scope, table, f"c{i}"))
+    start = tuple(draw(st.integers(0, d.size - 1)) for d in domains)
+    return VcspInstance(tuple(domains), tuple(constraints)), start
+
+
+def _shift(inst: VcspInstance) -> VcspInstance:
+    """`inst` with each constraint less its minimum, which changes no walk."""
+    shifted = (
+        ValuedConstraint(c.scope, [v - min(c.values) for v in c.values], c.label)
+        for c in inst.constraints
+    )
+    return VcspInstance(inst.domains, tuple(shifted))
+
+
+# `pad` and its checks are fast on these sizes, so they draw more examples.
+PADDING = settings(PROPERTY, max_examples=400)
+
+
+@PADDING
+@given(pad_cases())
+def test_pad_keeps_the_padding_rules_of_the_shifted_landscape(case):
+    inst = case[0]
+    padded = pad(inst)
+    assert padded.validate() == []
+    assert padding_violation(padded, ExpandedLandscape(_shift(inst))) is None
+
+
+@PADDING
+@given(pad_cases())
+def test_steepest_on_pad_simulates_the_ordered_ascent(case):
+    inst, start = case
+    shifted = _shift(inst)
+    ordered = ordered_ascent(shifted, start)
+    steepest = steepest_ascent(pad(inst), start)
+    if ordered.ambiguous_steps == 0:
+        # Each ordered step is steepest's two: into the intermediate, out of it.
+        event("ordered walk has no ambiguous step")
+        sim = simulate_ascent(ordered, ExpandedLandscape(shifted))
+        assert traces_equivalent(steepest, sim)
+        return
+    # The padded variable's intermediates tie, so steepest may choose another
+    # improving state than the ordered engine's largest gain: its main states
+    # must still be an ordered ascent, each step through one intermediate.
+    event("ordered walk has an ambiguous step")
+    assert steepest.length % 2 == 0 and steepest.terminal
+    base_steps = []
+    x = list(start)
+    for into, out in zip(steepest.steps[::2], steepest.steps[1::2]):
+        dom = ExpandedDomain.of(inst.domains[into.var])
+        assert into.var == out.var and into.src == x[into.var] and into.dst == out.src
+        assert into.dst >= dom.n_main  # an intermediate, between the two main states
+        assert dom.pair_of(into.dst) == tuple(sorted((into.src, out.dst)))
+        x[into.var] = out.dst
+        base_steps.append(StepRecord(into.var, into.src, out.dst, inst.fitness(x)))
+    walk = AscentTrace(
+        start=start,
+        steps=tuple(base_steps),
+        length=len(base_steps),
+        terminal=True,
+        policy="ordered",
+        tie_steps=0,
+        ambiguous_steps=0,
+        final=tuple(x),
+        final_fitness=inst.fitness(x),
+    )
+    assert steepest.final == walk.final
+    assert verify_ordered(inst, walk) is None
 
 
 # -- structural checks against constraint-by-constraint references -------------------

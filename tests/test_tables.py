@@ -10,13 +10,16 @@ from ascentlab.constructions import (
     CHAIN_32,
     DUAL_COL,
     DUAL_ROW,
-    ODD_MIN,
     even_min_ab,
     even_min_bc,
 )
 from ascentlab.verification import brute_force_extremes
 
 WEIGHT_SAMPLE = [weight_m(k) for k in range(1, 6)]  # 1, 5, 13, 29, 61
+
+# Unit-weight profile of min over the middle 2-state variable of a
+# (3-state, 2-state, 3-state) window; rows/columns are the flanking states.
+ODD_MIN = ((0, 2, 0), (1, 1, 1), (2, 0, 2))
 
 
 def test_weight_values_and_recurrence():

@@ -7,13 +7,13 @@ import dataclasses
 import pytest
 
 from ascentlab import (
+    ExpandedLandscape,
     PathDecomposition,
     ValuedConstraint,
     build_2by3,
     build_3by5,
     build_boolean_pw4,
     check_path_decomposition,
-    expand_landscape,
     exhaustive_steepest_oracle,
     rank1_split,
     run_all,
@@ -160,8 +160,8 @@ def test_ragged_matrix_is_rejected():
 
 def test_every_bonus_bump_breaks_the_padding_rules():
     inst = build_3by5(3)
-    landscape = expand_landscape(build_2by3(3))
-    bonus_labels = [c.label for c in inst.constraints if c.label[0] in "UV"]
+    landscape = ExpandedLandscape(build_2by3(3))
+    bonus_labels = [c.label for c in inst.constraints if c.label.startswith("P@")]
     assert len(bonus_labels) == 3
     for label in bonus_labels:
         bad = padding_violation(with_bumped_constraint(inst, label), landscape)
@@ -172,7 +172,7 @@ def test_every_bonus_bump_breaks_the_padding_rules():
 def test_removing_the_adjacency_penalty_breaks_the_ceiling():
     inst, codec, _, _ = build_boolean_pw4(2)
     stripped = without_constraints(inst, "J~")
-    problem = pw4_equivalence_violation(stripped, codec, expand_landscape(build_2by3(2)))
+    problem = pw4_equivalence_violation(stripped, codec, ExpandedLandscape(build_2by3(2)))
     assert problem == "two-intermediate ceiling broken at bits=(0, 0, 0, 1, 1): 18 > 13"
 
 
@@ -181,7 +181,7 @@ def test_every_boolean_bump_off_the_penalty_breaks_the_equivalence(n):
     # The J~ penalties only touch states with two adjacent intermediates,
     # which a one-point bump keeps under the ceiling.
     inst, codec, _, _ = build_boolean_pw4(n)
-    landscape = expand_landscape(build_2by3(n))
+    landscape = ExpandedLandscape(build_2by3(n))
     labels = [c.label for c in inst.constraints if any(c.values) and not c.label.startswith("J~")]
     assert len(labels) >= 5
     for label in labels:
@@ -363,8 +363,8 @@ def test_helpers_reject_unknown_labels():
 
 def test_failed_reports_carry_counterexamples():
     # A padding check against a deliberately broken builder result.
-    inst = with_bumped_constraint(build_3by5(2), "U@1")
-    bad = padding_violation(inst, expand_landscape(build_2by3(2)))
+    inst = with_bumped_constraint(build_3by5(2), "P@x1")
+    bad = padding_violation(inst, ExpandedLandscape(build_2by3(2)))
     assert bad is not None
     assert isinstance(bad["assignment"], list)
     assert isinstance(bad["got"], int)
