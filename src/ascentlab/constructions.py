@@ -335,12 +335,12 @@ class ExpandedLandscape:
     """Fitness over expanded domains, defined directly from the base instance.
 
     With no intermediates the fitness is (2n+1) times the base fitness.  With
-    a single intermediate at position k (1-based rank in the ascent order) it
-    is the positional bonus n-k+1 plus (2n+1) times the smaller of the two
-    completions, except that the bonus is dropped when the completions tie.
-    With two or more intermediates it is (2n+1) times the min over all
-    completions, which stays under the two-intermediate ceiling
-    2n-(j+k)+2 + (2n+1)*min.
+    a single intermediate at variable k (1-based; another ascent order is this
+    order on a relabelled base) it is the positional bonus n-k+1 plus (2n+1)
+    times the smaller of the two completions, except that the bonus is dropped
+    when the completions tie.  With two or more intermediates it is (2n+1)
+    times the min over all completions, which stays under the two-intermediate
+    ceiling 2n-(j+k)+2 + (2n+1)*min.
 
     Each base completion is evaluated once per landscape: `_base_fitness`
     keeps a dict from each base assignment met so far to its base fitness,
@@ -349,21 +349,17 @@ class ExpandedLandscape:
     assignment space, which the landscape only meets at small n.
     """
 
-    def __init__(self, base: VcspInstance, order: Sequence[int] | None = None):
+    def __init__(self, base: VcspInstance):
         self.base = base
         self.doms = tuple(map(ExpandedDomain.of, base.domains))
         n = base.n_vars
-        self.order = tuple(order) if order is not None else tuple(range(n))
-        if sorted(self.order) != list(range(n)):
-            raise BuildError("order must be a permutation of the variables")
         self.n_vars = n
         self.scale = 2 * n + 1
         self.domains = tuple(d.spec for d in self.doms)
         self._sizes = tuple(d.size for d in self.domains)
         self._n_main = tuple(d.n_main for d in self.doms)
-        # bonus[k] = n - (1-based rank of k in the order) + 1
-        rank = {k: i for i, k in enumerate(self.order)}
-        self.bonus = tuple(n - rank[k] for k in range(n))
+        # bonus[k] = n - (1-based position of k) + 1
+        self.bonus = tuple(n - k for k in range(n))
         self._base_fitnesses: dict[tuple[int, ...], int] = {}
 
     def check_assignment(self, x: Sequence[int]) -> None:
@@ -447,10 +443,10 @@ class ExpandedLandscape:
 
     def var_neighbors(self, k: int) -> tuple[int, ...]:
         """Every other variable: the padded fitness reads the whole base
-        instance, so no smaller blanket exists.  The engines' per-variable
-        memo then keys on the whole assignment and is never reused; that is
-        acceptable for an oracle that is walked only at n <= 6 and that no
-        benchmark workload runs."""
+        instance, so no smaller blanket exists.  Each variable's memo key
+        then covers the whole assignment, so the engines' memo has n times
+        the product of the sizes as keys: a list up to n = 7 on `2by3`, a
+        sparse dict beyond; either way no entry is reused."""
         return tuple(j for j in range(self.n_vars) if j != k)
 
     def _delta(self, x: Sequence[int], k: int, s: int, v: int) -> int:

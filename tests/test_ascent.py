@@ -5,7 +5,9 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -36,7 +38,8 @@ from ascentlab import (
     verify_ordered,
     verify_steepest,
 )
-from ascentlab.ascent import StepRecord
+from ascentlab import ascent
+from ascentlab.ascent import StepRecord, _Blankets, _Sparse
 from ascentlab.verification import traces_equivalent
 
 A, B, C, D = 0, 1, 2, 3
@@ -120,6 +123,60 @@ def test_ordered_walk_scans_each_move_once(n):
     tr = ordered_ascent(landscape, canonical_start("2by3", n), record_steps=False)
     assert tr.length == f_max(n) and tr.terminal
     assert landscape.calls == 7 * n - 4
+
+
+def _random_vcsp(seed: int) -> tuple[VcspInstance, tuple[int, ...]]:
+    """An instance and start shaped like the benchmark's random VCSPs: 60
+    variables of 2-4 states, 150 constraints of arity 1-3 and values in
+    +-2^70, so blankets too big to tabulate and values beyond 2^63."""
+    rng = random.Random(seed)
+    domains = []
+    for _ in range(60):
+        size = rng.randint(2, 4)
+        moves = {
+            "path": {(s, s + 1) for s in range(size - 1)},
+            "complete": {(s, t) for s in range(size) for t in range(s + 1, size)},
+            "empty": set(),
+        }[rng.choice(("path", "complete", "empty"))]
+        domains.append(DomainSpec(tuple("ABCD"[:size]), frozenset(moves)))
+    constraints = []
+    for c in range(150):
+        scope = tuple(rng.sample(range(60), rng.choice((1, 2, 2, 3, 3))))
+        cells = math.prod(domains[v].size for v in scope)
+        values = tuple(rng.randint(-(2**70), 2**70) for _ in range(cells))
+        constraints.append(ValuedConstraint(scope, values, f"r{c}"))
+    start = tuple(rng.randrange(d.size) for d in domains)
+    return VcspInstance(tuple(domains), tuple(constraints)), start
+
+
+MEMO_CASES = [
+    pytest.param(
+        lambda f=family, n=n: (build_family(f, n), canonical_start(f, n)), id=f"{family}-{n}"
+    )
+    for family in ("2by3", "3by5", "bool-pw4")
+    for n in range(2, 7)
+] + [
+    pytest.param(lambda: (ExpandedLandscape(build_2by3(3)), (A, A, A)), id="expanded-2by3-3"),
+    pytest.param(lambda: _random_vcsp(17), id="random-vcsp"),
+]
+
+
+@pytest.mark.parametrize("make", MEMO_CASES)
+def test_sparse_memo_walks_as_the_table(monkeypatch, make):
+    # A cap of 0 sends every walk to the sparse dict; the walks must not change.
+    landscape, start = make()
+    walks = [steepest_ascent(landscape, start), ordered_ascent(landscape, start)]
+    assert all(w.length > 0 for w in walks)
+    monkeypatch.setattr(ascent, "_TABLE_SLOTS", 0)
+    assert type(_Blankets(landscape, list(start)).memo) is _Sparse
+    assert [steepest_ascent(landscape, start), ordered_ascent(landscape, start)] == walks
+
+
+def test_chain_families_tabulate_and_random_blankets_stay_sparse():
+    for inst in (build_3by5(200), build_family("bool-pw4", 200)):
+        assert type(_Blankets(inst, [0] * inst.n_vars).memo) is list
+    inst, start = _random_vcsp(17)
+    assert type(_Blankets(inst, list(start)).memo) is _Sparse
 
 
 def test_ordered_prefers_the_earliest_variable():

@@ -81,10 +81,17 @@ def test_pair_ceiling_has_nonnegative_slack():
 
 
 def test_custom_order_moves_the_bonus():
+    # The order (1, 0) is the identity order of the base with its two
+    # variables swapped: position 2 comes first, so its bonus is n = 2.
     base = build_2by3(2)
-    ls = ExpandedLandscape(base, order=(1, 0))
-    # position 2 is now first in the order, so its bonus is n = 2
-    assert ls.fitness((B, 3)) == 2 + 5 * 1
+    swapped = VcspInstance(
+        base.domains[::-1],
+        tuple(
+            ValuedConstraint(tuple(1 - v for v in c.scope), c.values, c.label)
+            for c in base.constraints
+        ),
+    )
+    assert ExpandedLandscape(swapped).fitness((3, B)) == 2 + 5 * 1
 
 
 def test_simulation_doubles_the_trace():

@@ -280,9 +280,23 @@ def test_json_round_trip_gives_back_the_instance(case):
 @PROPERTY
 @given(cases())
 def test_simulated_ascent_takes_its_fitness_from_the_expanded_landscape(case):
+    # A custom order is the identity order of the base relabelled by it:
+    # variable i of `relabelled` is variable order[i] of `inst`.
     inst, start, order, _ = case
-    landscape = ExpandedLandscape(inst, order)
-    sim = simulate_ascent(ordered_ascent(inst, start, order=order), landscape)
+    at = {k: i for i, k in enumerate(order)}
+    relabelled = VcspInstance(
+        tuple(inst.domains[k] for k in order),
+        tuple(
+            ValuedConstraint(tuple(at[v] for v in c.scope), c.values, c.label)
+            for c in inst.constraints
+        ),
+    )
+    walk = ordered_ascent(relabelled, tuple(start[k] for k in order))
+    assert [(order[k], s, t, f) for k, s, t, f in walk.steps] == list(
+        ordered_ascent(inst, start, order=order).steps
+    )
+    landscape = ExpandedLandscape(relabelled)
+    sim = simulate_ascent(walk, landscape)
     states = list(sim.states())
     assert sim.fitness_values() == [landscape.fitness(x) for x in states[1:]]
     assert sim.final == states[-1]
