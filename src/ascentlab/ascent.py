@@ -6,7 +6,10 @@ states k's moves depend on) and the unchecked `_delta(x, k, s, v)` hook;
 both `VcspInstance` and the expanded-landscape oracle qualify.  All three
 engines run through one pure-Python step loop with exact integers, in
 recorded and summary mode alike; each engine only supplies the policy that
-picks the next move.
+picks the next move.  Ordered ascent's order ≺ is the variable-id order, as
+for `pad` and `ExpandedLandscape`: an ascent in another order is the
+identity-order ascent of the instance with its variables relabelled by it
+(variable i of the relabelled instance is variable order[i]).
 
 Steepest and ordered ascent read each variable's best move from one per-walk
 helper, `_Blankets`.  A variable's best move depends only on its own state
@@ -288,54 +291,28 @@ def steepest_ascent(
     )
 
 
-def _checked_order(n: int, order: Sequence[int] | None) -> tuple[int, ...]:
-    """The scan order (0..n-1 by default), which must permute the variables."""
-    if order is None:
-        return tuple(range(n))
-    order = tuple(order)
-    if sorted(order) != list(range(n)):
-        raise InvalidAssignmentError("order must be a permutation of the variables")
-    return order
-
-
-def _order_positions(landscape, order: Sequence[int] | None) -> tuple[tuple[int, ...], list[int]]:
-    n = len(landscape.domains)
-    order = _checked_order(n, order)
-    # After moving k, only variables sharing a constraint with k can change
-    # their improving status, so the scan may resume at the earliest of their
-    # order positions.
-    get_nbrs = landscape.var_neighbors
-    pos = [0] * n
-    for i, k in enumerate(order):
-        pos[k] = i
-    back = []
-    for k, p in enumerate(pos):
-        for j in get_nbrs(k):
-            if pos[j] < p:
-                p = pos[j]
-        back.append(p)
-    return order, back
-
-
-def _ordered_moves(landscape, x: list[int], order: tuple[int, ...], back: list[int]):
-    """Ordered ascent's moves.  An improving key fixes k's state s and target
-    t, so its memo record is the tuple `_walk` consumes plus the key increments
-    `(d, (t - s) * w)` for `(d, w)` in `deps[k]`; a non-improving key stores `()`.
-    Every improving record found is applied; steepest ascent applies few of its
-    entries, so it keeps plain ones."""
+def _ordered_moves(landscape, x: list[int]):
+    """Ordered ascent's moves, scanning variable ids upward.  An improving key
+    fixes k's state s and target t, so its memo record is the tuple `_walk`
+    consumes plus the key increments `(d, (t - s) * w)` for `(d, w)` in
+    `deps[k]`; a non-improving key stores `()`.  Every improving record found
+    is applied; steepest ascent applies few of its entries, so it keeps plain
+    ones."""
     b = _Blankets(landscape, x)
     scan, keys, deps, memo = b.scan, b.keys, b.deps, b.memo
-    n = len(order)
-    p = 0
-    while p < n:
-        k = order[p]
+    # After moving k, only the variables in deps[k] can change their improving
+    # status, so the scan resumes at the lowest of them.
+    back = [min(d for d, _ in dk) for dk in deps]
+    n = len(keys)
+    k = 0
+    while k < n:
         rec = memo[keys[k]]
         if rec:
             move, increments = rec
             yield move
             for d, inc in increments:
                 keys[d] += inc
-            p = back[k]
+            k = back[k]
         elif rec is None:
             # A miss stores k's record; the next pass replays it.
             g, t, _, improving = scan(k)
@@ -345,26 +322,27 @@ def _ordered_moves(landscape, x: list[int], order: tuple[int, ...], back: list[i
                 if t >= 0 else ()
             )
         else:
-            p += 1
+            k += 1
 
 
 def ordered_ascent(
     landscape,
     start: Sequence[int],
-    order: Sequence[int] | None = None,
     step_limit: int | None = None,
     record_steps: bool = True,
 ) -> AscentTrace:
-    """Always move the order-minimal variable that has an improving state.
+    """Always move the lowest-id variable that has an improving state.
 
-    Among improving states of that variable the engine takes the largest gain
-    (lowest state id on a tie) and flags the step as ambiguous when more than
-    one improving state existed.
+    The order ≺ is the variable-id order; any other order is the identity
+    order of `relabel(instance, order)`, the instance whose variable i is
+    variable order[i] (the tests' `relabelling.relabel`).  Among improving
+    states of that variable the engine takes the largest gain (lowest state
+    id on a tie) and flags the step as ambiguous when more than one
+    improving state existed.
     """
-    order, back = _order_positions(landscape, order)
     return _walk(
         landscape, start, step_limit, record_steps, "ordered",
-        lambda x: _ordered_moves(landscape, x, order, back),
+        lambda x: _ordered_moves(landscape, x),
     )
 
 
@@ -535,26 +513,25 @@ def verify_steepest(landscape, trace: AscentTrace) -> AscentViolation | None:
     return None
 
 
-def verify_ordered(
-    landscape, trace: AscentTrace, order: Sequence[int] | None = None
-) -> AscentViolation | None:
-    """No variable earlier in the order may have had an improving move.
+def verify_ordered(landscape, trace: AscentTrace) -> AscentViolation | None:
+    """No variable with a lower id than the moved one may have had an
+    improving move: ≺ is the variable-id order, as in `ordered_ascent`, and a
+    walk in another order is checked on `relabel(instance, order)`.
 
-    The visited states are checked as in `verify_ascent`; each move of an
-    earlier variable is scored with `_reference_delta`, the change of the
+    The visited states are checked as in `verify_ascent`; each move of a
+    lower variable is scored with `_reference_delta`, the change of the
     constraints on that variable read from their raw tensors.
     """
-    order = _checked_order(len(landscape.domains), order)
     walk = _checked_walk(landscape, trace)
     if isinstance(walk, AscentViolation):
         return walk
     states = walk[0]
     score = landscape._reference_delta
-    pos = {k: i for i, k in enumerate(order)}
+    domains = landscape.domains
     for i, rec in enumerate(trace.steps or ()):
         x = states[i]
-        for j in order[: pos[rec.var]]:
-            for u in landscape.domains[j].adjacent(x[j]):
+        for j in range(rec.var):
+            for u in domains[j].adjacent(x[j]):
                 if score(x, j, u) > 0:
                     return AscentViolation(
                         i,

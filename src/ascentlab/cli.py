@@ -161,13 +161,12 @@ def _load_start(args, instance) -> tuple[int, ...]:
 
 def _run_engine(args, instance, start, step_limit: int | None, record: bool):
     """One walk of the engine named by `--engine` (`--seed` seeds `first`)."""
-    if args.engine == "steepest":
-        return steepest_ascent(instance, start, step_limit, record_steps=record)
-    if args.engine == "ordered":
-        return ordered_ascent(instance, start, step_limit=step_limit, record_steps=record)
-    return first_improvement_ascent(
-        instance, start, step_limit, seed=args.seed, record_steps=record
-    )
+    if args.engine == "first":
+        return first_improvement_ascent(
+            instance, start, step_limit, seed=args.seed, record_steps=record
+        )
+    engine = steepest_ascent if args.engine == "steepest" else ordered_ascent
+    return engine(instance, start, step_limit, record_steps=record)
 
 
 def _cmd_ascend(args) -> int:

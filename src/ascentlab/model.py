@@ -318,26 +318,19 @@ class VcspInstance:
         defects: list[str] = []
         n = self.n_vars
         size_of = self._sizes.__getitem__  # type: ignore[attr-defined]
-        # {scope: tensor length} for the scopes found sound so far in this call
-        sound: dict[tuple[int, ...], int] = {}
         for ci, c in enumerate(self.constraints):
             scope = c.scope
-            if sound.get(scope) == len(c.values):
-                continue
             who = c.label or f"constraint #{ci}"
             if len(scope) == 0:
                 defects.append(f"{who}: empty scope")
                 continue
-            repeats = len(set(scope)) != len(scope)
-            if repeats:
+            if len(set(scope)) != len(scope):
                 defects.append(f"{who}: scope {scope} repeats a variable")
             if min(scope) < 0 or max(scope) >= n:
                 bad = [v for v in scope if not (0 <= v < n)]
                 defects.append(f"{who}: scope refers to unknown variable(s) {bad}")
                 continue
             expected = math.prod(map(size_of, scope))
-            if not repeats:
-                sound[scope] = expected
             if len(c.values) != expected:
                 defects.append(
                     f"{who}: tensor has {len(c.values)} entries, expected {expected}"

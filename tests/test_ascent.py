@@ -19,7 +19,6 @@ import ascentlab
 from ascentlab import (
     DomainSpec,
     ExpandedLandscape,
-    InvalidAssignmentError,
     ValuedConstraint,
     VcspInstance,
     build_2by3,
@@ -41,6 +40,7 @@ from ascentlab import (
 from ascentlab import ascent
 from ascentlab.ascent import StepRecord, _Blankets, _Sparse
 from ascentlab.verification import traces_equivalent
+from relabelling import relabel
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -193,10 +193,14 @@ def test_ordered_empty_trace_at_local_solution():
 
 
 def test_ordered_respects_custom_order():
-    # Reversed order starts at the other end of the chain.
-    tr = ordered_ascent(build_2by3(2), (A, A), order=(1, 0))
-    assert tr.steps[0].var == 1
-    assert verify_ordered(build_2by3(2), tr, order=(1, 0)) is None
+    # The reversed order is the identity order of the relabelled chain, whose
+    # variable i is the chain's variable order[i]: the walk starts at the
+    # chain's other end.
+    order = (1, 0)
+    swapped = relabel(build_2by3(2), order)
+    tr = ordered_ascent(swapped, (A, A))
+    assert order[tr.steps[0].var] == 1
+    assert verify_ordered(swapped, tr) is None
 
 
 def test_first_improvement_contract():
@@ -318,18 +322,6 @@ def test_verify_ordered_rejects_steepest_trace():
     inst = build_2by3(2)
     bad = verify_ordered(inst, steepest_ascent(inst, (A, A)))
     assert bad is not None and bad.step == 0 and bad.witness[0] == 0
-
-
-@pytest.mark.parametrize("order", [(0,), (2, 1, 0, 5), (0, 0, 1, 2), (0, 1, 2, 3, 4)])
-def test_verify_ordered_rejects_an_order_that_is_no_permutation(order):
-    inst = build_2by3(4)
-    trace = ordered_ascent(inst, (A,) * 4)
-    for check in (
-        lambda: verify_ordered(inst, trace, order),
-        lambda: ordered_ascent(inst, (A,) * 4, order=order),
-    ):
-        with pytest.raises(InvalidAssignmentError, match="order must be a permutation"):
-            check()
 
 
 def test_single_variable_ascents_are_ordered():
@@ -479,10 +471,9 @@ def test_summary_mode_step_limit():
 
 
 def test_summary_mode_with_custom_order():
-    inst = build_2by3(7)
-    order = (6, 5, 4, 3, 2, 1, 0)
-    full = ordered_ascent(inst, (A,) * 7, order=order)
-    summary = ordered_ascent(inst, (A,) * 7, order=order, record_steps=False)
+    inst = relabel(build_2by3(7), (6, 5, 4, 3, 2, 1, 0))
+    full = ordered_ascent(inst, (A,) * 7)
+    summary = ordered_ascent(inst, (A,) * 7, record_steps=False)
     assert (summary.length, summary.final, summary.final_fitness) == (
         full.length,
         full.final,

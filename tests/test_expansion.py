@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from ascentlab import (
     DomainSpec,
     ExpandedLandscape,
     ValuedConstraint,
     VcspInstance,
     build_2by3,
+    canonical_start,
     ordered_ascent,
+    pad,
     simulate_ascent,
+    steepest_ascent,
 )
+from relabelling import relabel
 
 A, B, C = 0, 1, 2
 
@@ -83,15 +89,27 @@ def test_pair_ceiling_has_nonnegative_slack():
 def test_custom_order_moves_the_bonus():
     # The order (1, 0) is the identity order of the base with its two
     # variables swapped: position 2 comes first, so its bonus is n = 2.
-    base = build_2by3(2)
-    swapped = VcspInstance(
-        base.domains[::-1],
-        tuple(
-            ValuedConstraint(tuple(1 - v for v in c.scope), c.values, c.label)
-            for c in base.constraints
-        ),
-    )
+    swapped = relabel(build_2by3(2), (1, 0))
     assert ExpandedLandscape(swapped).fitness((3, B)) == 2 + 5 * 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_steepest_on_the_padded_relabelling_simulates_the_reversed_ascent(n):
+    # The ascent in the reversed order, padded: relabel the base by the order,
+    # and steepest ascent on its padding retraces the identity-order walk of
+    # the relabelled base, two moves for each of its moves.
+    order = tuple(reversed(range(n)))
+    base = relabel(build_2by3(n), order)
+    start = tuple(canonical_start("2by3", n)[k] for k in order)
+    walk = ordered_ascent(base, start)
+    sim = simulate_ascent(walk, ExpandedLandscape(base))
+    steepest = steepest_ascent(pad(base), start)
+    assert steepest.steps == sim.steps and sim.length == 2 * walk.length > 0
+    assert (steepest.terminal, steepest.final, steepest.final_fitness) == (
+        sim.terminal,
+        sim.final,
+        sim.final_fitness,
+    )
 
 
 def test_simulation_doubles_the_trace():

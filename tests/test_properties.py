@@ -6,6 +6,7 @@ against constraint-by-constraint references."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -29,11 +30,13 @@ from ascentlab import (
     pad,
     simulate_ascent,
     steepest_ascent,
+    verify_ascent,
     verify_ordered,
 )
 from ascentlab.ascent import AscentTrace, StepRecord
 from ascentlab.constructions import ExpandedDomain
 from ascentlab.verification import padding_violation, traces_equivalent
+from relabelling import relabel
 
 SUMMARY_FIELDS = ("length", "terminal", "final", "final_fitness", "tie_steps", "ambiguous_steps")
 
@@ -176,12 +179,34 @@ def _ordered_choices(inst, trace) -> list[tuple[int, int]]:
     return choices
 
 
+def _unrelabelled(trace: AscentTrace, order) -> AscentTrace:
+    """`trace`, a walk of `relabel(inst, order)`, in `inst`'s variable ids."""
+
+    def back(y):
+        x = [0] * len(order)
+        for i, k in enumerate(order):
+            x[k] = y[i]
+        return tuple(x)
+
+    return dataclasses.replace(
+        trace,
+        start=back(trace.start),
+        steps=tuple(StepRecord(order[k], s, t, f) for k, s, t, f in trace.steps),
+        final=back(trace.final),
+    )
+
+
 @PROPERTY
 @given(cases())
 def test_ordered_agrees_with_the_from_scratch_checks(case):
+    # An ascent in `order` is the identity-order ascent of the relabelled
+    # instance; its moves are checked in the instance's own variable ids.
     inst, start, order, _ = case
-    trace = ordered_ascent(inst, start, order=order)
-    assert verify_ordered(inst, trace, order) is None
+    relabelled = relabel(inst, order)
+    walk = ordered_ascent(relabelled, tuple(start[k] for k in order))
+    assert verify_ordered(relabelled, walk) is None
+    trace = _unrelabelled(walk, order)
+    assert trace.start == start and verify_ascent(inst, trace) is None
     assert trace.terminal
     choices = _ordered_choices(inst, trace)
     assert [rec.dst for rec in trace.steps] == [t for t, _ in choices]
@@ -243,9 +268,10 @@ def test_first_improvement_equals_its_replay(case, seed):
 @given(cases())
 def test_summary_mode_and_step_limits_agree_with_the_full_walk(case):
     inst, start, order, limit = case
+    relabelled = relabel(inst, order)
     engines = (
         lambda **kw: steepest_ascent(inst, start, **kw),
-        lambda **kw: ordered_ascent(inst, start, order=order, **kw),
+        lambda **kw: ordered_ascent(relabelled, tuple(start[k] for k in order), **kw),
         lambda **kw: first_improvement_ascent(inst, start, seed=limit, **kw),
     )
     for run in engines:
@@ -280,21 +306,10 @@ def test_json_round_trip_gives_back_the_instance(case):
 @PROPERTY
 @given(cases())
 def test_simulated_ascent_takes_its_fitness_from_the_expanded_landscape(case):
-    # A custom order is the identity order of the base relabelled by it:
-    # variable i of `relabelled` is variable order[i] of `inst`.
+    # A custom order is the identity order of the base relabelled by it.
     inst, start, order, _ = case
-    at = {k: i for i, k in enumerate(order)}
-    relabelled = VcspInstance(
-        tuple(inst.domains[k] for k in order),
-        tuple(
-            ValuedConstraint(tuple(at[v] for v in c.scope), c.values, c.label)
-            for c in inst.constraints
-        ),
-    )
+    relabelled = relabel(inst, order)
     walk = ordered_ascent(relabelled, tuple(start[k] for k in order))
-    assert [(order[k], s, t, f) for k, s, t, f in walk.steps] == list(
-        ordered_ascent(inst, start, order=order).steps
-    )
     landscape = ExpandedLandscape(relabelled)
     sim = simulate_ascent(walk, landscape)
     states = list(sim.states())
