@@ -20,8 +20,7 @@ from ascentlab import (
     simulate_ascent,
     steepest_ascent,
 )
-from ascentlab.constructions import pw4_equivalence_violation
-from ascentlab.verification import without_constraints
+from ascentlab.verification import padding_violation, without_constraints
 
 n = 6
 inst, codec, decomp, start = build_boolean_pw4(n)
@@ -47,7 +46,8 @@ for i, bits in enumerate(list(greedy.states())[:4]):
 print()
 print("what the adjacency penalty is for:")
 small, small_codec, _, _ = build_boolean_pw4(2)
-witness = pw4_equivalence_violation(
-    without_constraints(small, "J~"), small_codec, ExpandedLandscape(build_2by3(2))
+bad = padding_violation(
+    without_constraints(small, "J~"), ExpandedLandscape(build_2by3(2)), small_codec
 )
-print(f"  without it (n=2): {witness}")
+print(f"  without it (n=2): two-intermediate ceiling broken at "
+      f"bits={tuple(bad['assignment'])}: {bad['got']} > {bad['ceiling']}")

@@ -221,8 +221,9 @@ def _parse_caps(raw: list[str], check: str) -> dict[str, int]:
                 raise BuildError(f"unknown cap {key!r}; known: {sorted(DEFAULT_CAPS)}")
             caps[key] = int(value)
         else:
-            if check == "all":
-                raise BuildError("bare --cap N needs a single --check")
+            if check not in DEFAULT_CAPS:
+                capped = [name for name in CHECK_NAMES if name in DEFAULT_CAPS]
+                raise BuildError(f"bare --cap N needs a single --check of {capped}; use name=N")
             caps[check] = int(item)
     low = {key: n for key, n in caps.items() if n < 2}
     if low:

@@ -1,4 +1,5 @@
-"""Builders for the three instance families and the transforms between them.
+"""Builders for the three instance families and the transforms between them;
+what the families claim is checked in `verification`, not here.
 
 The base family ("2by3") is a path of binary constraints over domains that
 alternate between two and three states; its geometric weight schedule makes
@@ -805,37 +806,6 @@ def build_boolean_pw4(
     inst = _finish(inst, f"build_boolean_pw4({n})")
     decomp = PathDecomposition(tuple(itertools.chain.from_iterable(c.bags for c in cells)))
     return inst, codec, decomp, codec.encode((0,) * n)
-
-
-def pw4_equivalence_violation(
-    inst: VcspInstance, codec: BooleanCodec, landscape: ExpandedLandscape
-) -> str | None:
-    """Exhaustive master-invariant check; returns a description of the first
-    violated state, or None.
-
-    Each decodable state is judged by its best code (the first enumerated on
-    a tie) under the padding rules of `ExpandedLandscape.padding_defect`.
-    Only the odd intermediate has two codes (00 and 11), so this says that
-    the max over its codes is the padded value and that every code stays at
-    or below the two-intermediate ceiling.
-    """
-    best: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    for bits in itertools.product((0, 1), repeat=codec.total_bits):
-        states = tuple(codec.decode_states(bits))
-        if None in states:
-            continue
-        got = inst.fitness(bits)
-        kept = best.get(states)
-        if kept is None or got > kept[0]:
-            best[states] = (got, bits)
-    for states, (got, bits) in best.items():
-        bad = landscape.padding_defect(states, got)
-        if bad is None:
-            continue
-        if "ceiling" in bad:
-            return f"two-intermediate ceiling broken at bits={bits}: {got} > {bad['ceiling']}"
-        return f"fitness mismatch at bits={bits}: {got} != expected {bad['expected']}"
-    return None
 
 
 # -- canonical starts ---------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Brute-force oracles and structural checkers for the instance families.
+"""The steepest-ascent oracle and the structural checkers for the families.
 
 Every check recomputes its claim from first principles (exhaustive
 enumeration, full neighborhood scans scored from the raw constraint tensors,
 direct table arithmetic) and returns a report whose failure verdicts always
-carry a concrete counterexample.
+carry a concrete counterexample.  `3by5` and `bool-pw4` encode one padded
+chain, so each of their two claims has one checker that only decodes them
+differently: `padding_violation` and `_retrace_failure`.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from .ascent import (
     verify_steepest,
 )
 from .constructions import (
+    BooleanCodec,
     ExpandedLandscape,
     build_2by3,
     build_3by5,
     build_boolean_pw4,
     canonical_start,
     f_max,
-    pw4_equivalence_violation,
     simulate_ascent,
 )
 from .model import (
@@ -118,32 +120,6 @@ def exhaustive_steepest_oracle(
     )
 
 
-def traces_equivalent(a: AscentTrace, b: AscentTrace) -> bool:
-    """Same walk regardless of the policy tag."""
-    return (
-        a.start == b.start
-        and a.steps == b.steps
-        and a.length == b.length
-        and a.terminal == b.terminal
-        and a.final == b.final
-        and a.final_fitness == b.final_fitness
-    )
-
-
-def brute_force_extremes(instance) -> tuple[int, int, tuple[int, ...]]:
-    """(min fitness, max fitness, one argmax) over the whole assignment space."""
-    lo = hi = None
-    best = None
-    for x in instance.all_assignments():
-        f = instance.fitness(x)
-        if lo is None or f < lo:
-            lo = f
-        if hi is None or f > hi:
-            hi = f
-            best = x
-    return lo, hi, best
-
-
 # -- fault-injection helpers ----------------------------------------------------
 
 
@@ -193,6 +169,8 @@ def _first_difference(got: Sequence, want: Sequence) -> tuple[int, object, objec
     """The first index where two sequences differ, as `(i, got[i], want[i])`,
     or None.  When one is a prefix of the other they differ at the shorter
     length, and the missing side reads None."""
+    if got == want:
+        return None
     for i, (g, w) in enumerate(zip(got, want)):
         if g != w:
             return i, g, w
@@ -210,25 +188,45 @@ def _doubled_walk(n: int) -> AscentTrace:
     return simulate_ascent(trace, ExpandedLandscape(base))
 
 
-def _doubled_length_failure(n: int, trace: AscentTrace) -> tuple[bool, str, dict] | None:
-    """The failing verdict when a walk is not 2*f_max(n) steps long, else None."""
+def _retrace_failure(
+    n: int, trace: AscentTrace, codec: BooleanCodec | None, ties: int
+) -> tuple[bool, str, dict] | None:
+    """The failing verdict when a steepest walk on a padded encoding of
+    2by3(n), its states decoded by `codec` (None: no decoding), does not
+    retrace `_doubled_walk(n)` in length, states, fitness values and end, or
+    does not tie on exactly `ties` steps; else None."""
+
+    def fail(details: str, **counterexample) -> tuple[bool, str, dict]:
+        return False, f"n={n}: {details}", {"n": n, **counterexample}
+
     want = 2 * f_max(n)
-    if trace.length == want:
-        return None
-    return False, f"n={n}: length {trace.length} != {want}", {
-        "n": n,
-        "length": trace.length,
-        "expected": want,
-    }
-
-
-def _ending(trace: AscentTrace) -> dict:
-    return {
-        "length": trace.length,
-        "terminal": trace.terminal,
-        "final": list(trace.final),
-        "final_fitness": trace.final_fitness,
-    }
+    if trace.length != want:
+        return fail(f"length {trace.length} != {want}", length=trace.length, expected=want)
+    sim = _doubled_walk(n)
+    if codec is None:
+        walk, final = [list(x) for x in trace.states()], list(trace.final)
+    else:
+        walk, final = codec.decode_walk(trace), codec.decode_states(trace.final)
+    # The recorded end (None unless terminal) follows the replay as one more
+    # entry, compared once the replays agree: a short replay still ends in None.
+    sim_walk = [list(x) for x in sim.states()]
+    diff = _first_difference(walk, sim_walk) or _first_difference(
+        walk + [final if trace.terminal else None], sim_walk + [list(sim.final)]
+    )
+    if diff is not None:
+        i, got, expected = diff
+        return fail(f"decoded walk diverges at state {i}", state=i, decoded=got, expected=expected)
+    fits, sim_fits = trace.fitness_values(), sim.fitness_values()
+    diff = _first_difference(fits, sim_fits) or _first_difference(
+        fits + [trace.final_fitness if trace.terminal else None], sim_fits + [sim.final_fitness]
+    )
+    if diff is not None:
+        i, got, expected = diff
+        return fail(f"fitness diverges at step {i}", step=i, got=got, expected=expected)
+    if trace.tie_steps != ties:
+        tied = trace.tie_steps
+        return fail(f"{tied} tied steps != {ties}", tie_steps=tied, expected=ties)
+    return None
 
 
 def check_ordered_length(n_max: int) -> CheckReport:
@@ -273,29 +271,11 @@ def check_simulation(n_max: int, verify_max: int) -> CheckReport:
 
     def body():
         for n in range(2, n_max + 1):
-            sim = _doubled_walk(n)
             inst = build_3by5(n)
             eng = steepest_ascent(inst, canonical_start("3by5", n))
-            if eng.tie_steps != 0:
-                return False, f"n={n}: steepest argmax tied on {eng.tie_steps} steps", {
-                    "n": n,
-                    "tie_steps": eng.tie_steps,
-                }
-            failure = _doubled_length_failure(n, eng)
+            failure = _retrace_failure(n, eng, None, 0)
             if failure is not None:
                 return failure
-            if not traces_equivalent(sim, eng):
-                diff = _first_difference(sim.steps, eng.steps)
-                if diff is None:  # same steps, different ending
-                    where = {"simulated": _ending(sim), "engine": _ending(eng)}
-                else:
-                    i, s, e = diff
-                    where = {
-                        "step": i,
-                        "simulated": s and s._asdict(),
-                        "engine": e and e._asdict(),
-                    }
-                return False, f"n={n}: simulated and engine traces differ", {"n": n, **where}
             if n <= verify_max:
                 bad = verify_steepest(inst, eng)
                 if bad is not None:
@@ -316,13 +296,28 @@ def check_simulation(n_max: int, verify_max: int) -> CheckReport:
     )
 
 
-def padding_violation(instance: VcspInstance, landscape: ExpandedLandscape) -> dict | None:
-    """First assignment of the expanded instance that breaks the padding rules
-    of `ExpandedLandscape.padding_defect`."""
+def padding_violation(
+    instance: VcspInstance, landscape: ExpandedLandscape, codec: BooleanCodec | None = None
+) -> dict | None:
+    """The first `ExpandedLandscape.padding_defect` of `instance` over every
+    state, with `assignment` the instance's own; or None.  `codec` decodes
+    assignments to states (None: they are states).  Junk codes are skipped,
+    and each state is judged by its best code, the first enumerated on a tie:
+    so the max over the odd intermediate's codes 00 and 11 of `bool-pw4` must
+    be the padded value, and no code may exceed the two-intermediate ceiling."""
+    best: dict[tuple, tuple[int, tuple[int, ...]]] = {}
     for x in instance.all_assignments():
-        bad = landscape.padding_defect(x, instance.fitness(x))
+        state = x if codec is None else tuple(codec.decode_states(x))
+        if None in state:
+            continue
+        got = instance.fitness(x)
+        kept = best.get(state)
+        if kept is None or got > kept[0]:
+            best[state] = (got, x)
+    for state, (got, x) in best.items():
+        bad = landscape.padding_defect(state, got)
         if bad is not None:
-            return bad
+            return {**bad, "assignment": list(x)}
     return None
 
 
@@ -333,58 +328,30 @@ def check_padding(n_max: int) -> CheckReport:
         for n in range(2, n_max + 1):
             bad = padding_violation(build_3by5(n), ExpandedLandscape(build_2by3(n)))
             if bad is not None:
-                bad["n"] = n
-                return False, f"n={n}: padding rule violated", bad
+                return False, f"n={n}: padding rule violated", {**bad, "n": n}
         return True, f"padding rules hold exhaustively for n=2..{n_max}", None
 
     return _timed("padding", {"n_max": n_max}, body)
 
 
 def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
-    """Boolean instance: exhaustive fitness equivalence at small n, and the
-    steepest ascent from the canonical start decodes to the simulated walk
+    """Boolean instance: exhaustive padding rules by best code at small n, and
+    the steepest ascent from the canonical start decodes to the doubled walk
     with 3 * 2^h - 3 tied steps for even n and 2^(h+2) - 3 for odd n, h = n // 2."""
 
     def body():
         for n in range(2, n_equiv + 1):
             inst, codec, _, _ = build_boolean_pw4(n)
-            problem = pw4_equivalence_violation(
-                inst, codec, ExpandedLandscape(build_2by3(n))
-            )
-            if problem is not None:
-                return False, f"n={n}: {problem}", {"n": n, "violation": problem}
+            bad = padding_violation(inst, ExpandedLandscape(build_2by3(n)), codec)
+            if bad is not None:
+                return False, f"n={n}: padding rule violated", {**bad, "n": n}
         for n in range(2, n_traj + 1):
-            sim = _doubled_walk(n)
             inst, codec, _, start = build_boolean_pw4(n)
-            eng = steepest_ascent(inst, start)
-            failure = _doubled_length_failure(n, eng)
-            if failure is not None:
-                return failure
-            decoded = codec.decode_walk(eng)
-            diff = _first_difference(decoded, [list(s) for s in sim.states()])
-            if diff is not None:
-                return False, f"n={n}: decoded walk diverges at state {diff[0]}", {
-                    "n": n,
-                    "state": diff[0],
-                    "decoded": diff[1],
-                    "expected": diff[2],
-                }
-            diff = _first_difference(eng.fitness_values(), sim.fitness_values())
-            if diff is not None:
-                return False, f"n={n}: fitness diverges at step {diff[0]}", {
-                    "n": n,
-                    "step": diff[0],
-                    "got": diff[1],
-                    "expected": diff[2],
-                }
             h = n // 2
             ties = 3 * 2**h - 3 if n % 2 == 0 else 2 ** (h + 2) - 3
-            if eng.tie_steps != ties:
-                return False, f"n={n}: {eng.tie_steps} tied steps != {ties}", {
-                    "n": n,
-                    "tie_steps": eng.tie_steps,
-                    "expected": ties,
-                }
+            failure = _retrace_failure(n, steepest_ascent(inst, start), codec, ties)
+            if failure is not None:
+                return failure
         return True, "boolean fitness equivalence and decoded replay hold", None
 
     return _timed("boolean", {"n_equiv": n_equiv, "n_traj": n_traj}, body)

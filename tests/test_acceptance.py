@@ -26,9 +26,9 @@ from ascentlab import (
 )
 from ascentlab.verification import (
     padding_violation,
-    traces_equivalent,
     with_bumped_constraint,
 )
+from references import traces_equivalent
 
 A = 0
 
@@ -85,8 +85,6 @@ def test_criterion_4_padding_rules_hold_exhaustively():
 
 
 def test_criterion_5_boolean_walk_replays_the_simulation():
-    from ascentlab.constructions import pw4_equivalence_violation
-
     for n in range(2, 13):
         base = build_2by3(n)
         sim = simulate_ascent(
@@ -101,7 +99,7 @@ def test_criterion_5_boolean_walk_replays_the_simulation():
         assert eng.fitness_values() == sim.fitness_values()
     for n in range(2, 5):
         inst, codec, _, _ = build_boolean_pw4(n)
-        assert pw4_equivalence_violation(inst, codec, ExpandedLandscape(build_2by3(n))) is None
+        assert padding_violation(inst, ExpandedLandscape(build_2by3(n)), codec) is None
     print("PASS criterion 5: boolean steepest walk replays the simulation for n=2..12")
 
 

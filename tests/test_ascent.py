@@ -39,7 +39,7 @@ from ascentlab import (
 )
 from ascentlab import ascent
 from ascentlab.ascent import StepRecord, _Blankets, _Sparse
-from ascentlab.verification import traces_equivalent
+from references import traces_equivalent
 from relabelling import relabel
 
 A, B, C, D = 0, 1, 2, 3

@@ -20,7 +20,7 @@ from ascentlab import (
     simulate_ascent,
     steepest_ascent,
 )
-from ascentlab.constructions import pw4_equivalence_violation
+from ascentlab.verification import padding_violation
 
 A, B, C = 0, 1, 2
 
@@ -176,7 +176,7 @@ def test_arity_and_width(n):
 def test_master_invariant_exhaustive(n):
     inst, codec, _, _ = build_boolean_pw4(n)
     landscape = ExpandedLandscape(build_2by3(n))
-    assert pw4_equivalence_violation(inst, codec, landscape) is None
+    assert padding_violation(inst, landscape, codec) is None
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -14,7 +14,8 @@ from ascentlab import (
     steepest_ascent,
 )
 from ascentlab.ascent import StepRecord
-from ascentlab.verification import padding_violation, traces_equivalent
+from ascentlab.verification import padding_violation
+from references import traces_equivalent
 
 A, B, C = 0, 1, 2
 SAB_ODD = 2

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ascentlab
 from ascentlab import build_2by3, f_max, instance_to_json, load_instance
 from ascentlab.cli import main
-from ascentlab.verification import brute_force_extremes
+from references import brute_force_extremes
 
 
 def run(capsys, *argv):
@@ -372,6 +372,13 @@ def test_verify_with_caps(capsys):
 def test_verify_bare_cap_applies_to_single_check(capsys):
     code, out, _ = run(capsys, "verify", "--check", "pathwidth", "--cap", "6")
     assert code == 0 and json.loads(out.strip())["params"]["n_max"] == 6
+
+
+@pytest.mark.parametrize("check", ["rank1", "all"])
+def test_verify_bare_cap_needs_a_check_with_that_cap(capsys, check):
+    code, out, err = run(capsys, "verify", "--check", check, "--cap", "5")
+    _assert_usage_error(code, out, err)
+    assert "bare --cap N needs a single --check" in err
 
 
 def test_verify_legacy_check_names(capsys):

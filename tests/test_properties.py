@@ -35,7 +35,8 @@ from ascentlab import (
 )
 from ascentlab.ascent import AscentTrace, StepRecord
 from ascentlab.constructions import ExpandedDomain
-from ascentlab.verification import padding_violation, traces_equivalent
+from ascentlab.verification import padding_violation
+from references import traces_equivalent
 from relabelling import relabel
 
 SUMMARY_FIELDS = ("length", "terminal", "final", "final_fitness", "tie_steps", "ambiguous_steps")

@@ -13,7 +13,7 @@ from ascentlab.constructions import (
     even_min_ab,
     even_min_bc,
 )
-from ascentlab.verification import brute_force_extremes
+from references import brute_force_extremes
 
 WEIGHT_SAMPLE = [weight_m(k) for k in range(1, 6)]  # 1, 5, 13, 29, 61
 

@@ -20,19 +20,20 @@ from ascentlab import (
     steepest_ascent,
 )
 from ascentlab import verification
-from ascentlab.constructions import f_max, pw4_equivalence_violation
+from ascentlab.constructions import f_max
 from ascentlab.verification import (
     CHECK_NAMES,
     check_boolean,
     check_ordered_length,
+    check_padding,
     check_rank1,
     check_simulation,
     padding_violation,
     run_check,
-    traces_equivalent,
     with_bumped_constraint,
     without_constraints,
 )
+from references import traces_equivalent
 
 A = 0
 
@@ -172,8 +173,8 @@ def test_every_bonus_bump_breaks_the_padding_rules():
 def test_removing_the_adjacency_penalty_breaks_the_ceiling():
     inst, codec, _, _ = build_boolean_pw4(2)
     stripped = without_constraints(inst, "J~")
-    problem = pw4_equivalence_violation(stripped, codec, ExpandedLandscape(build_2by3(2)))
-    assert problem == "two-intermediate ceiling broken at bits=(0, 0, 0, 1, 1): 18 > 13"
+    bad = padding_violation(stripped, ExpandedLandscape(build_2by3(2)), codec)
+    assert bad == {"assignment": [0, 0, 0, 1, 1], "intermediates": 2, "got": 18, "ceiling": 13}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -186,7 +187,7 @@ def test_every_boolean_bump_off_the_penalty_breaks_the_equivalence(n):
     assert len(labels) >= 5
     for label in labels:
         bumped = with_bumped_constraint(inst, label)
-        assert pw4_equivalence_violation(bumped, codec, landscape) is not None, label
+        assert padding_violation(bumped, landscape, codec) is not None, label
 
 
 # -- a reference walk that stops one step short ---------------------------------------
@@ -214,10 +215,13 @@ def test_a_short_ordered_walk_fails_the_length_check(truncated_reference):
 def test_a_short_reference_walk_fails_the_simulation_check(truncated_reference):
     report = check_simulation(4, 2)
     assert not report.passed
-    cex = report.counterexample
-    assert cex["n"] == 2 and cex["step"] == 2 * f_max(2) - 2
-    assert cex["simulated"] is None and cex["engine"]["var"] in (0, 1)
-    assert sorted(cex["engine"]) == ["dst", "fitness_after", "src", "var"]
+    assert report.details == f"n=2: decoded walk diverges at state {2 * f_max(2) - 1}"
+    assert report.counterexample == {
+        "n": 2,
+        "state": 2 * f_max(2) - 1,
+        "decoded": [2, 2],
+        "expected": None,
+    }
 
 
 def test_a_short_reference_walk_fails_the_boolean_check(truncated_reference):
@@ -241,9 +245,13 @@ def test_a_broken_equivalence_fails_the_boolean_check(monkeypatch):
     monkeypatch.setattr(verification, "build_boolean_pw4", bumped)
     report = check_boolean(4, 4)
     assert not report.passed
+    assert report.details == "n=3: padding rule violated"
     assert report.counterexample == {
+        "assignment": [0, 0, 0, 0, 1, 0, 0],
+        "intermediates": 2,
+        "got": 33,
+        "ceiling": 32,
         "n": 3,
-        "violation": "two-intermediate ceiling broken at bits=(0, 0, 0, 0, 1, 0, 0): 33 > 32",
     }
 
 
@@ -282,6 +290,164 @@ def test_a_diverging_decoded_walk_fails_the_boolean_check(monkeypatch):
         "state": 5,
         "decoded": [1, 1, 0],
         "expected": [2, 1, 0],
+    }
+
+
+# -- every failure branch, planted through the engine or builder a check uses -------
+
+
+def _at_step_4(trace, fields):
+    steps = list(trace.steps)
+    steps[4] = steps[4]._replace(**fields(steps[4]))
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
+# Each fault a steepest walk can carry, applied to the n = 3 walk, and the
+# details and counterexample it must be reported with, given the tie count
+# the check expects.  Both padded encodings of 2by3 must give the same
+# report, since one check compares each against the doubled ordered walk.
+RETRACE_FAULTS = {
+    "length": (
+        lambda t: dataclasses.replace(t, length=t.length + 1),
+        lambda ties: ("length 21 != 20", {"length": 21, "expected": 20}),
+    ),
+    "not terminal": (
+        lambda t: dataclasses.replace(t, terminal=False),
+        lambda ties: (
+            "decoded walk diverges at state 21",
+            {"state": 21, "decoded": None, "expected": [1, 0, 1]},
+        ),
+    ),
+    "state": (
+        lambda t: _at_step_4(t, lambda rec: {"dst": rec.src}),
+        lambda ties: (
+            "decoded walk diverges at state 5",
+            {"state": 5, "decoded": [1, 1, 0], "expected": [2, 1, 0]},
+        ),
+    ),
+    "fitness": (
+        lambda t: _at_step_4(t, lambda rec: {"fitness_after": rec.fitness_after + 1}),
+        lambda ties: ("fitness diverges at step 4", {"step": 4, "got": 18, "expected": 17}),
+    ),
+    "final": (
+        lambda t: dataclasses.replace(t, final=t.start),
+        lambda ties: (
+            "decoded walk diverges at state 21",
+            {"state": 21, "decoded": [0, 0, 0], "expected": [1, 0, 1]},
+        ),
+    ),
+    "final_fitness": (
+        lambda t: dataclasses.replace(t, final_fitness=t.final_fitness + 1),
+        lambda ties: ("fitness diverges at step 20", {"step": 20, "got": 71, "expected": 70}),
+    ),
+    "tie count": (
+        lambda t: dataclasses.replace(t, tie_steps=t.tie_steps + 1),
+        lambda ties: (
+            f"{ties + 1} tied steps != {ties}",
+            {"tie_steps": ties + 1, "expected": ties},
+        ),
+    ),
+}
+# check -> (run it, the tie count of its n = 3 walk)
+RETRACE_CHECKS = {
+    "simulation": (lambda: check_simulation(4, 2), 0),
+    "boolean": (lambda: check_boolean(2, 4), 5),
+}
+
+
+@pytest.mark.parametrize("fault", list(RETRACE_FAULTS))
+@pytest.mark.parametrize("check", list(RETRACE_CHECKS))
+def test_a_faulty_steepest_walk_fails_the_retrace_check(monkeypatch, check, fault):
+    real = verification.steepest_ascent
+    tamper, expected = RETRACE_FAULTS[fault]
+
+    def planted(inst, start):
+        trace = real(inst, start)
+        return tamper(trace) if inst.base_n == 3 else trace
+
+    monkeypatch.setattr(verification, "steepest_ascent", planted)
+    run, ties = RETRACE_CHECKS[check]
+    details, counterexample = expected(ties)
+    report = run()
+    assert not report.passed
+    assert report.details == f"n=3: {details}"
+    assert report.counterexample == {"n": 3, **counterexample}
+
+
+def test_a_walk_past_a_better_neighbour_fails_the_simulation_check(monkeypatch):
+    # The check's n = 3 instance rewards the start's neighbour (0, 0, 2), off
+    # the doubled walk, while the engine walks the unrewarded instance: the
+    # walk retraces, but its first step is not steepest.
+    real_build, real_engine = verification.build_3by5, verification.steepest_ascent
+
+    def rewarded(n):
+        inst = real_build(n)
+        if n == 3:
+            bait = ValuedConstraint((0, 1, 2), (0, 0, 1000) + (0,) * 42, "bait")
+            inst = dataclasses.replace(inst, constraints=inst.constraints + (bait,))
+        return inst
+
+    def unrewarded(inst, start):
+        return real_engine(real_build(inst.base_n), start)
+
+    monkeypatch.setattr(verification, "build_3by5", rewarded)
+    monkeypatch.setattr(verification, "steepest_ascent", unrewarded)
+    report = check_simulation(4, 4)
+    assert not report.passed
+    assert report.details == (
+        "n=3: full re-verification failed: neighbor (var 2 -> state 2) has fitness 1001 > chosen 3"
+    )
+    assert report.counterexample == {"n": 3, "step": 0, "witness": (2, 2)}
+
+
+@pytest.mark.parametrize(
+    "tamper, problem",
+    [
+        (lambda t: dataclasses.replace(t, terminal=False), "did not reach a local solution"),
+        (lambda t: dataclasses.replace(t, final_fitness=11), "final fitness 11 != 10"),
+        (lambda t: dataclasses.replace(t, ambiguous_steps=1), "1 ambiguous steps"),
+    ],
+)
+def test_a_faulty_ordered_walk_fails_the_length_check(monkeypatch, tamper, problem):
+    real = verification.ordered_ascent
+
+    def planted(inst, start):
+        trace = real(inst, start)
+        return tamper(trace) if inst.base_n == 3 else trace
+
+    monkeypatch.setattr(verification, "ordered_ascent", planted)
+    report = check_ordered_length(4)
+    assert not report.passed
+    assert report.details == f"n=3: {problem}"
+    assert report.counterexample == {"n": 3, "length": 10, "expected": 10}
+
+
+def test_a_closed_form_off_the_doubling_rule_fails_the_length_check(monkeypatch):
+    real = verification.f_max
+    monkeypatch.setattr(verification, "f_max", lambda n: real(n) + (n == 6))
+    report = check_ordered_length(8)
+    assert not report.passed
+    assert report.details == "f_max(6) = 64 but doubling rule gives 63"
+    assert report.counterexample == {"n_max": 8}
+
+
+def test_a_bumped_bonus_fails_the_padding_check(monkeypatch):
+    real = verification.build_3by5
+
+    def bumped(n):
+        inst = real(n)
+        return with_bumped_constraint(inst, "P@x1") if n == 3 else inst
+
+    monkeypatch.setattr(verification, "build_3by5", bumped)
+    report = check_padding(4)
+    assert not report.passed
+    assert report.details == "n=3: padding rule violated"
+    assert report.counterexample == {
+        "assignment": [2, 0, 0],
+        "intermediates": 1,
+        "got": 4,
+        "expected": 3,
+        "n": 3,
     }
 
 
