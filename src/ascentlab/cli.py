@@ -105,22 +105,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output(path: str) -> Path:
+    """`path`, checked before the work that fills it: if it is a directory or
+    has none to hold it, reading it fails as writing would, creating nothing."""
+    out = Path(path)
+    if out.is_dir() or not out.parent.is_dir():
+        out.open().close()
+    return out
+
+
 def _cmd_gen(args) -> int:
+    out = _output(args.out)
     if args.family == "bool-pw4":
         instance, codec, decomp, _ = build_boolean_pw4(args.n)
     else:
         instance = build_family(args.family, args.n)
         codec = decomp = None
-    out = Path(args.out)
     save_instance(instance, out)
     if codec is not None:
         sidecar = out.with_suffix("")
-        Path(f"{sidecar}.codec.json").write_text(
-            json.dumps(codec.to_json()), encoding="utf-8"
-        )
-        Path(f"{sidecar}.decomp.json").write_text(
-            json.dumps(decomposition_to_json(decomp)), encoding="utf-8"
-        )
+        for kind, doc in (("codec", codec.to_json()), ("decomp", decomposition_to_json(decomp))):
+            Path(f"{sidecar}.{kind}.json").write_text(json.dumps(doc), encoding="utf-8")
     print(json.dumps({"written": str(out), "family": args.family, "n": args.n}))
     return EXIT_OK
 
@@ -181,18 +186,18 @@ def _cmd_ascend(args) -> int:
     if args.summary_only and args.trace:
         raise BuildError("--summary-only cannot be combined with --trace")
 
+    trace_path = args.trace and _output(args.trace)
     start = _load_start(args, instance)
     record = not args.summary_only
     t0 = time.perf_counter()
     trace = _run_engine(args, instance, start, args.step_limit, record)
     seconds = time.perf_counter() - t0
 
-    if args.trace:
-        path = Path(args.trace)
-        if path.suffix == ".json":
-            path.write_text(json.dumps(trace_to_json(trace, instance)), encoding="utf-8")
+    if trace_path:
+        if trace_path.suffix == ".json":
+            trace_path.write_text(json.dumps(trace_to_json(trace, instance)), encoding="utf-8")
         else:
-            with path.open("w", encoding="utf-8") as fh:
+            with trace_path.open("w", encoding="utf-8") as fh:
                 trace_to_csv(trace, instance, fh)
 
     summary = {
@@ -248,6 +253,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     rows = ["family,n,steps,seconds,steps_per_sec"]
     sizes = [int(v) for v in args.n_list.split(",") if v.strip()]
+    out = args.out and _output(args.out)
     for n in sizes:
         instance = build_family(args.family, n)
         start = canonical_start(args.family, n)
@@ -259,8 +265,8 @@ def _cmd_bench(args) -> int:
             f"{trace.length / max(seconds, 1e-9):.1f}"
         )
     text = "\n".join(rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -447,92 +447,57 @@ def check_path_decomposition(
 ) -> DecompositionReport:
     """Check bag coverage of every scope and interval contiguity per variable.
 
-    One pass over the bags finds the variables each bag adds to the one
-    before it.  Every variable's bags are contiguous exactly when each
-    variable enters once.  Then a scope lies inside some bag exactly when it
-    lies inside the bag where the latest-entering of its variables enters
-    (intervals that meet pairwise share a point), so each distinct scope
-    costs one subset test, all of them in one C-level pass when no scope is
-    empty and every scope variable is in some bag.  A per-scope loop finds
-    the first violation, and bag sets are intersected only when some
-    variable's bags are not contiguous.  The first violation is
-    reported, in this order: a bag entry that is not a variable; the first
-    distinct scope not inside any bag (an empty scope, or one with a
-    variable in no bag, never is), named by its first constraint; the first
-    variable, in order of first appearance, whose bags are not contiguous.
-    """
-    n = instance.n_vars
+    Every variable's bags are contiguous exactly when each variable enters
+    (is in a bag but not in the one before) once.  Then a scope lies inside
+    some bag exactly when it lies inside the bag where the latest-entering
+    of its variables enters, because intervals that meet pairwise share a
+    point.  So a valid decomposition costs one subset test per distinct
+    scope, all in one C-level pass; only one that fails it is walked again,
+    by `_violation`, to word its first violation."""
     bags = decomposition.bags
     entering = list(map(frozenset.difference, bags, chain((frozenset(),), bags)))
     # the bag where each variable enters (its last entry if it enters twice)
     entry = {v: bi for bi, new in enumerate(entering) for v in new}
-    if entry and (min(entry) < 0 or max(entry) >= n):
-        for bi, bag in enumerate(bags):
-            for v in bag:
-                if not (0 <= v < n):
-                    return DecompositionReport(None, f"bag {bi} contains unknown variable {v}")
-    var_bags = None if sum(map(len, entering)) == len(entry) else _bags_of(bags)
-
-    # each distinct scope once, in order of first use; the exact rule runs on
-    # them all at once, and only when it fails or cannot run does the loop
-    # look for the first scope in no bag
+    # each distinct scope once, in order of first use
     scopes = list(dict.fromkeys(map(_scope_of, instance.constraints)))
-    if not (
-        var_bags is None
+    # per scope, the bag where its latest-entering variable enters; read only
+    # once the scopes are known to be non-empty and made of bagged variables
+    latest = map(max, map(map, repeat(entry.__getitem__), scopes))
+    if (
+        0 <= min(entry, default=0) and max(entry, default=-1) < instance.n_vars
+        and sum(map(len, entering)) == len(entry)
         and all(scopes)
         and entry.keys() >= set().union(*scopes)
-        and all(
-            map(
-                frozenset.issuperset,
-                map(bags.__getitem__, map(max, map(map, repeat(entry.__getitem__), scopes))),
-                scopes,
-            )
-        )
+        and all(map(frozenset.issuperset, map(bags.__getitem__, latest), scopes))
     ):
-        for scope in scopes:
-            if not _inside_a_bag(scope, bags, entry, var_bags):
-                c = next(c for c in instance.constraints if c.scope == scope)
-                who = c.label or f"scope {sorted(scope)}"
-                return DecompositionReport(
-                    None, f"scope of {who} ({sorted(scope)}) is not inside any bag"
-                )
-    if var_bags is not None:
-        for v, bs in var_bags.items():
-            if bs[-1] - bs[0] + 1 != len(bs):
-                return DecompositionReport(
-                    None,
-                    f"variable {v} appears in bags {bs}, which is not a contiguous interval",
-                )
-
-    width = max(map(len, bags), default=0) - 1
-    return DecompositionReport(width)
+        return DecompositionReport(max(map(len, bags), default=0) - 1)
+    return DecompositionReport(None, _violation(instance, bags, scopes))
 
 
-def _inside_a_bag(
-    scope: tuple[int, ...],
-    bags: Sequence[frozenset[int]],
-    entry: dict[int, int],
-    var_bags: dict[int, list[int]] | None,
-) -> bool:
-    """Whether some bag holds the whole (non-empty) scope.  With `var_bags`
-    None every variable's bags are contiguous, and the bag where the
-    latest-entering scope variable enters is the only candidate; otherwise
-    the scope variables' bag sets are intersected."""
-    if not scope or not all(map(entry.__contains__, scope)):
-        return False
-    if var_bags is None:
-        return bags[max(map(entry.__getitem__, scope))].issuperset(scope)
-    return bool(set(var_bags[scope[0]]).intersection(*map(var_bags.__getitem__, scope[1:])))
-
-
-def _bags_of(bags: Sequence[frozenset[int]]) -> dict[int, list[int]]:
-    """Per variable, in order of first appearance, the ascending indices of
-    the bags that hold it."""
+def _violation(instance: VcspInstance, bags: Sequence[frozenset[int]], scopes: list) -> str:
+    """The first violation of a decomposition that has one, in this order: a
+    bag entry that is not a variable; the first distinct scope whose
+    variables' bag sets do not intersect (an empty scope, or one with a
+    variable in no bag, never is), named by its first constraint; the first
+    variable, in order of first appearance, whose bags are not contiguous."""
+    n = instance.n_vars
     var_bags: dict[int, list[int]] = {}
     for bi, bag in enumerate(bags):
         for v in bag:
+            if not (0 <= v < n):
+                return f"bag {bi} contains unknown variable {v}"
             var_bags.setdefault(v, []).append(bi)
-    return var_bags
+    for scope in scopes:
+        bag_sets = [set(var_bags.get(v, ())) for v in scope]
+        if not (bag_sets and set.intersection(*bag_sets)):
+            c = next(c for c in instance.constraints if c.scope == scope)
+            who = c.label or f"scope {sorted(scope)}"
+            return f"scope of {who} ({sorted(scope)}) is not inside any bag"
+    return next(
+        f"variable {v} appears in bags {bs}, which is not a contiguous interval"
+        for v, bs in var_bags.items()
+        if bs[-1] - bs[0] + 1 != len(bs)
+    )
 
 
 # -- JSON serialization -----------------------------------------------------

@@ -287,7 +287,7 @@ def check_simulation(n_max: int, verify_max: int) -> CheckReport:
         return (
             True,
             f"steepest equals the doubled ordered ascent for n=2..{n_max} "
-            f"(full neighborhood re-verification up to n={verify_max})",
+            f"(full neighborhood re-verification up to n={min(verify_max, n_max)})",
             None,
         )
 

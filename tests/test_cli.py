@@ -121,6 +121,52 @@ def test_ascend_flag_conflicts(capsys, tmp_path):
     assert code == 2
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before its output path was checked")
+
+
+@pytest.mark.parametrize(
+    "argv,stage,name",
+    [
+        (["ascend", "--family", "2by3", "--n", "32", "--engine", "ordered", "--trace"],
+         "_run_engine", "t.csv"),
+        (["ascend", "--family", "2by3", "--n", "4", "--trace"], "_run_engine", "t.json"),
+        (["gen", "--family", "2by3", "--n", "4", "--out"], "build_family", "i.json"),
+        (["gen", "--family", "bool-pw4", "--n", "4", "--out"], "build_boolean_pw4", "b.json"),
+        (["bench", "--family", "2by3", "--n-list", "2,4", "--out"], "build_family", "b.csv"),
+    ],
+)
+def test_a_missing_output_directory_fails_before_the_work(
+    tmp_path, capsys, monkeypatch, argv, stage, name
+):
+    import ascentlab.cli as cli
+
+    monkeypatch.setattr(cli, stage, _must_not_run)
+    missing = tmp_path / "missing" / name
+    code, out, err = run(capsys, *argv, str(missing))
+    _assert_usage_error(code, out, err)
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "where,error", [("file/t.csv", "[Errno 20] Not a directory"), ("dir", "[Errno 21] Is a directory")]
+)
+def test_an_unwritable_trace_path_fails_before_the_walk(
+    tmp_path, capsys, monkeypatch, where, error
+):
+    import ascentlab.cli as cli
+
+    monkeypatch.setattr(cli, "_run_engine", _must_not_run)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    bad = tmp_path / where
+    code, out, err = run(capsys, "ascend", "--family", "2by3", "--n", "4", "--trace", str(bad))
+    _assert_usage_error(code, out, err)
+    assert err == f"error: {error}: '{bad}'\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+
+
 _REMOVE = object()
 
 
@@ -372,6 +418,14 @@ def test_verify_with_caps(capsys):
 def test_verify_bare_cap_applies_to_single_check(capsys):
     code, out, _ = run(capsys, "verify", "--check", "pathwidth", "--cap", "6")
     assert code == 0 and json.loads(out.strip())["params"]["n_max"] == 6
+
+
+def test_verify_simulation_names_the_re_verification_it_ran(capsys):
+    # a bare cap below the simulation-verify cap re-verifies only up to itself
+    code, out, _ = run(capsys, "verify", "--check", "simulation", "--cap", "3")
+    report = json.loads(out.strip())
+    assert code == 0 and report["params"] == {"n_max": 3, "verify_max": 10}
+    assert report["details"].endswith("for n=2..3 (full neighborhood re-verification up to n=3)")
 
 
 @pytest.mark.parametrize("check", ["rank1", "all"])
