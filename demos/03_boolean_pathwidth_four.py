@@ -8,6 +8,8 @@ flank-reading shortcut honest: dropping it breaks the two-intermediate
 fitness ceiling, and the checker produces the witness.
 """
 
+import dataclasses
+
 from ascentlab import (
     ExpandedLandscape,
     build_2by3,
@@ -20,7 +22,7 @@ from ascentlab import (
     simulate_ascent,
     steepest_ascent,
 )
-from ascentlab.verification import padding_violation, without_constraints
+from ascentlab.verification import padding_violation
 
 n = 6
 inst, codec, decomp, start = build_boolean_pw4(n)
@@ -46,8 +48,8 @@ for i, bits in enumerate(list(greedy.states())[:4]):
 print()
 print("what the adjacency penalty is for:")
 small, small_codec, _, _ = build_boolean_pw4(2)
-bad = padding_violation(
-    without_constraints(small, "J~"), ExpandedLandscape(build_2by3(2)), small_codec
-)
+kept = tuple(c for c in small.constraints if not c.label.startswith("J~"))
+stripped = dataclasses.replace(small, constraints=kept)
+bad = padding_violation(stripped, ExpandedLandscape(build_2by3(2)), small_codec)
 print(f"  without it (n=2): two-intermediate ceiling broken at "
       f"bits={tuple(bad['assignment'])}: {bad['got']} > {bad['ceiling']}")

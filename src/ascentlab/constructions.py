@@ -36,12 +36,13 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .ascent import AscentTrace, StepRecord
 from .model import (
     BuildError,
     DomainSpec,
+    Edge,
     PathDecomposition,
     ValuedConstraint,
     VcspInstance,
@@ -245,27 +246,31 @@ class _Rows(NamedTuple):
     bags: tuple[frozenset[int], ...] = ()
 
 
+def _in_order(cells: Sequence[_Rows]) -> Iterator[tuple[int, tuple[_Row, ...]]]:
+    """A chain's (k, rows) in its constraints' order: by group, then by position k."""
+    for group in range(len(cells[0].groups)):
+        for k, cell in enumerate(cells, 1):
+            yield k, cell.groups[group]
+
+
 def _assemble(
     cells: Sequence[_Rows], scale: int, penalty: int = 0
 ) -> tuple[ValuedConstraint, ...]:
-    """The constraints of the chain whose positions 1..n contribute `cells`:
-    group by group and, within a group, position by position, each unit
-    table times its weight and its factor in this build."""
+    """A chain's constraints `_in_order`, each unit table times its weight and factor."""
     n = len(cells)
     constraints = []
     append = constraints.append
     # A row's scope is already a tuple, so each constraint is made directly
     # rather than through ValuedConstraint's coercing constructor.
     new = tuple.__new__
-    for group in range(len(cells[0].groups)):
-        for k, cell in enumerate(cells, 1):
-            factors = (scale, n - k + 1, penalty)
-            for scope, (size, entries), label, weight, factor in cell.groups[group]:
-                f = factors[factor] * weight
-                values = [0] * size
-                for i, v in entries:
-                    values[i] = f * v
-                append(new(ValuedConstraint, (scope, tuple(values), label)))
+    for k, rows in _in_order(cells):
+        factors = (scale, n - k + 1, penalty)
+        for scope, (size, entries), label, weight, factor in rows:
+            f = factors[factor] * weight
+            values = [0] * size
+            for i, v in entries:
+                values[i] = f * v
+            append(new(ValuedConstraint, (scope, tuple(values), label)))
     return tuple(constraints)
 
 
@@ -606,10 +611,6 @@ class BooleanCodec:
 
     collections: tuple[CollectionCodec, ...]
 
-    @property
-    def total_bits(self) -> int:
-        return sum(c.width for c in self.collections)
-
     def split(self, bits: Sequence[int]) -> list[tuple[int, ...]]:
         out = []
         for c in self.collections:
@@ -792,20 +793,33 @@ def build_boolean_pw4(
     order, each even position's flank scope right after the pair that ends on
     it; every bag has at most 5 bits.
     """
-    cells = [_pw4_rows(k, k == n) for k in _chain_positions(n)]
+    cells, n_bits, decomp = _pw4_chain(n)
     scale = 2 * n + 1
     constraints = _assemble(cells, scale, -scale * f_max(n))
     codec = BooleanCodec(tuple(c.collection for c in cells))
     inst = VcspInstance(
-        (BIT,) * codec.total_bits,
+        (BIT,) * n_bits,
         constraints,
         family="bool-pw4",
         base_n=n,
         var_names=tuple(itertools.chain.from_iterable(c.names for c in cells)),
     )
     inst = _finish(inst, f"build_boolean_pw4({n})")
-    decomp = PathDecomposition(tuple(itertools.chain.from_iterable(c.bags for c in cells)))
     return inst, codec, decomp, codec.encode((0,) * n)
+
+
+def boolean_pw4_hypergraph(n: int) -> tuple[int, tuple[Edge, ...], PathDecomposition]:
+    """`build_boolean_pw4(n)`'s bit count, (scope, label) per constraint and
+    decomposition, read from its rows in its order without filling a value."""
+    cells, n_bits, decomp = _pw4_chain(n)
+    edges = tuple((scope, label) for _, rows in _in_order(cells) for scope, _, label, _, _ in rows)
+    return n_bits, edges, decomp
+
+
+def _pw4_chain(n: int) -> tuple[list[_Rows], int, PathDecomposition]:
+    cells = [_pw4_rows(k, k == n) for k in _chain_positions(n)]
+    bags = tuple(itertools.chain.from_iterable(c.bags for c in cells))
+    return cells, sum(c.collection.width for c in cells), PathDecomposition(bags)
 
 
 # -- canonical starts ---------------------------------------------------------

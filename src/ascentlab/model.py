@@ -127,6 +127,7 @@ def neighbors_of(domains: Sequence[DomainSpec], x: Sequence[int]) -> list[tuple[
 # A constraint's scope and values, read in C.
 _scope_of = operator.itemgetter(0)
 _values_of = operator.itemgetter(1)
+Edge = tuple[tuple[int, ...], str]  # a constraint's scope and label
 
 
 # (variable, row-major stride) per scope entry of a constraint.
@@ -445,7 +446,16 @@ class DecompositionReport:
 def check_path_decomposition(
     instance: VcspInstance, decomposition: PathDecomposition
 ) -> DecompositionReport:
-    """Check bag coverage of every scope and interval contiguity per variable.
+    """`check_hypergraph_decomposition` of the instance's own constraints."""
+    edges = [(c.scope, c.label) for c in instance.constraints]
+    return check_hypergraph_decomposition(instance.n_vars, edges, decomposition)
+
+
+def check_hypergraph_decomposition(
+    n_vars: int, edges: Sequence[Edge], decomposition: PathDecomposition
+) -> DecompositionReport:
+    """Check that the bags of variables 0..n_vars-1 cover each edge's scope, whose
+    label only names a violation, and that each variable's bags are contiguous.
 
     Every variable's bags are contiguous exactly when each variable enters
     (is in a bag but not in the one before) once.  Then a scope lies inside
@@ -459,39 +469,40 @@ def check_path_decomposition(
     # the bag where each variable enters (its last entry if it enters twice)
     entry = {v: bi for bi, new in enumerate(entering) for v in new}
     # each distinct scope once, in order of first use
-    scopes = list(dict.fromkeys(map(_scope_of, instance.constraints)))
+    scopes = list(dict.fromkeys(map(_scope_of, edges)))
     # per scope, the bag where its latest-entering variable enters; read only
     # once the scopes are known to be non-empty and made of bagged variables
     latest = map(max, map(map, repeat(entry.__getitem__), scopes))
     if (
-        0 <= min(entry, default=0) and max(entry, default=-1) < instance.n_vars
+        0 <= min(entry, default=0) and max(entry, default=-1) < n_vars
         and sum(map(len, entering)) == len(entry)
         and all(scopes)
         and entry.keys() >= set().union(*scopes)
         and all(map(frozenset.issuperset, map(bags.__getitem__, latest), scopes))
     ):
         return DecompositionReport(max(map(len, bags), default=0) - 1)
-    return DecompositionReport(None, _violation(instance, bags, scopes))
+    return DecompositionReport(None, _violation(n_vars, edges, bags, scopes))
 
 
-def _violation(instance: VcspInstance, bags: Sequence[frozenset[int]], scopes: list) -> str:
+def _violation(
+    n_vars: int, edges: Sequence[Edge], bags: Sequence[frozenset[int]], scopes: list
+) -> str:
     """The first violation of a decomposition that has one, in this order: a
     bag entry that is not a variable; the first distinct scope whose
     variables' bag sets do not intersect (an empty scope, or one with a
-    variable in no bag, never is), named by its first constraint; the first
+    variable in no bag, never is), named by its first edge's label; the first
     variable, in order of first appearance, whose bags are not contiguous."""
-    n = instance.n_vars
     var_bags: dict[int, list[int]] = {}
     for bi, bag in enumerate(bags):
         for v in bag:
-            if not (0 <= v < n):
+            if not (0 <= v < n_vars):
                 return f"bag {bi} contains unknown variable {v}"
             var_bags.setdefault(v, []).append(bi)
     for scope in scopes:
         bag_sets = [set(var_bags.get(v, ())) for v in scope]
         if not (bag_sets and set.intersection(*bag_sets)):
-            c = next(c for c in instance.constraints if c.scope == scope)
-            who = c.label or f"scope {sorted(scope)}"
+            label = next(label for s, label in edges if s == scope)
+            who = label or f"scope {sorted(scope)}"
             return f"scope of {who} ({sorted(scope)}) is not inside any bag"
     return next(
         f"variable {v} appears in bags {bs}, which is not a contiguous interval"

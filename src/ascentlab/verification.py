@@ -3,7 +3,9 @@
 Every check recomputes its claim from first principles (exhaustive
 enumeration, full neighborhood scans scored from the raw constraint tensors,
 direct table arithmetic) and returns a report whose failure verdicts always
-carry a concrete counterexample.  `3by5` and `bool-pw4` encode one padded
+carry a concrete counterexample.  `check_pathwidth` reads the hypergraph of
+the `bool-pw4` builder's rows; `test_criterion_6_arity_5_and_pathwidth_4_up_to_n200`
+ties it to the full build.  `3by5` and `bool-pw4` encode one padded
 chain, so each of their two claims has one checker that only decodes them
 differently: `padding_violation` and `_retrace_failure`.
 """
@@ -24,6 +26,7 @@ from .ascent import (
 from .constructions import (
     BooleanCodec,
     ExpandedLandscape,
+    boolean_pw4_hypergraph,
     build_2by3,
     build_3by5,
     build_boolean_pw4,
@@ -34,7 +37,7 @@ from .constructions import (
 from .model import (
     ValuedConstraint,
     VcspInstance,
-    check_path_decomposition,
+    check_hypergraph_decomposition,
 )
 
 
@@ -138,16 +141,6 @@ def with_bumped_constraint(instance: VcspInstance, label: str, bump: int = 1) ->
         raise ValueError(f"no constraint labeled {label!r}")
     return VcspInstance(
         instance.domains, tuple(out), instance.family, instance.base_n, instance.var_names
-    )
-
-
-def without_constraints(instance: VcspInstance, prefix: str) -> VcspInstance:
-    """Copy of the instance with all constraints whose label starts with prefix removed."""
-    kept = tuple(c for c in instance.constraints if not c.label.startswith(prefix))
-    if len(kept) == len(instance.constraints):
-        raise ValueError(f"no constraint label starts with {prefix!r}")
-    return VcspInstance(
-        instance.domains, kept, instance.family, instance.base_n, instance.var_names
     )
 
 
@@ -358,18 +351,20 @@ def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
 
 
 def check_pathwidth(n_max: int) -> CheckReport:
-    """Every built Boolean instance has max constraint arity 5 and its
-    canonical decomposition checks out at width exactly 4."""
+    """Every Boolean instance has max constraint arity 5 and its canonical
+    decomposition checks out at width exactly 4, read from its hypergraph
+    (`boolean_pw4_hypergraph`, no value tensor); the acceptance test
+    `test_criterion_6_arity_5_and_pathwidth_4_up_to_n200` ties that to the build."""
 
     def body():
         for n in range(2, n_max + 1):
-            inst, _, decomp, _ = build_boolean_pw4(n)
-            if inst.max_arity != 5:
-                return False, f"n={n}: max arity {inst.max_arity} != 5", {
+            n_bits, edges, decomp = boolean_pw4_hypergraph(n)
+            if (max_arity := max(len(scope) for scope, _ in edges)) != 5:
+                return False, f"n={n}: max arity {max_arity} != 5", {
                     "n": n,
-                    "max_arity": inst.max_arity,
+                    "max_arity": max_arity,
                 }
-            report = check_path_decomposition(inst, decomp)
+            report = check_hypergraph_decomposition(n_bits, edges, decomp)
             if not report.ok:
                 return False, f"n={n}: {report.violation}", {
                     "n": n,

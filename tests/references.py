@@ -1,13 +1,13 @@
-"""Whole-walk equality and brute-force extremes, for tests to compare against.
+"""Whole-walk equality, brute-force extremes and instance surgery, for tests.
 
 The verify checks compare walks state by state against the doubled ordered
-walk; these helpers compare whole traces and scan whole assignment spaces,
-which only the tests need.
+walk; these helpers compare whole traces, scan whole assignment spaces and
+strip constraints from instances, which only the tests need.
 """
 
 from __future__ import annotations
 
-from ascentlab import AscentTrace
+from ascentlab import AscentTrace, VcspInstance
 
 
 def traces_equivalent(a: AscentTrace, b: AscentTrace) -> bool:
@@ -34,3 +34,13 @@ def brute_force_extremes(instance) -> tuple[int, int, tuple[int, ...]]:
             hi = f
             best = x
     return lo, hi, best
+
+
+def without_constraints(instance: VcspInstance, prefix: str) -> VcspInstance:
+    """Copy of the instance with all constraints whose label starts with prefix removed."""
+    kept = tuple(c for c in instance.constraints if not c.label.startswith(prefix))
+    if len(kept) == len(instance.constraints):
+        raise ValueError(f"no constraint label starts with {prefix!r}")
+    return VcspInstance(
+        instance.domains, kept, instance.family, instance.base_n, instance.var_names
+    )

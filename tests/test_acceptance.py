@@ -16,6 +16,7 @@ from ascentlab import (
     build_boolean_pw4,
     canonical_start,
     check_path_decomposition,
+    check_pathwidth,
     exhaustive_steepest_oracle,
     f_max,
     ordered_ascent,
@@ -24,6 +25,8 @@ from ascentlab import (
     steepest_ascent,
     verify_steepest,
 )
+from ascentlab import constructions
+from ascentlab.constructions import boolean_pw4_hypergraph
 from ascentlab.verification import (
     padding_violation,
     with_bumped_constraint,
@@ -110,9 +113,33 @@ def test_criterion_6_arity_5_and_pathwidth_4_up_to_n200():
         assert inst.max_arity == 5
         report = check_path_decomposition(inst, decomp)
         assert report.ok and report.width == 4
+        # the hypergraph that `verify --check pathwidth` reads is this build's
+        n_bits, edges, hyper_decomp = boolean_pw4_hypergraph(n)
+        assert n_bits == inst.n_vars
+        assert list(edges) == [(c.scope, c.label) for c in inst.constraints]
+        assert hyper_decomp.bags == decomp.bags
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"PASS criterion 6: arity 5 and width 4 for n=2..200 ({elapsed:.2f}s)")
+
+
+def test_criterion_6_build_and_check_read_one_set_of_rows(monkeypatch):
+    real = constructions._pw4_rows
+
+    def widened(k, closing):
+        """Position 2's rows, its chain link given bit 0 as a sixth, last
+        axis; the link keeps its values where bit 0 is 0."""
+        rows = real(k, closing)
+        if (k, closing) != (2, False):
+            return rows
+        ((scope, (size, entries), *rest),) = rows.groups[0]
+        link = (scope + (0,), (2 * size, tuple((2 * i, v) for i, v in entries)), *rest)
+        return rows._replace(groups=((link,),) + rows.groups[1:])
+
+    monkeypatch.setattr(constructions, "_pw4_rows", widened)
+    assert build_boolean_pw4(3)[0].max_arity == 6
+    assert check_pathwidth(4).counterexample == {"n": 3, "max_arity": 6}
+    print("PASS criterion 6: a widened row reaches both the build and the pathwidth check")
 
 
 def test_criterion_7_no_additive_split_of_the_min_profile():

@@ -10,6 +10,7 @@ from ascentlab import (
     ExpandedLandscape,
     PathDecomposition,
     ValuedConstraint,
+    VcspInstance,
     build_2by3,
     build_3by5,
     build_boolean_pw4,
@@ -19,10 +20,11 @@ from ascentlab import (
     run_all,
     steepest_ascent,
 )
-from ascentlab import verification
+from ascentlab import constructions, verification
 from ascentlab.constructions import f_max
 from ascentlab.verification import (
     CHECK_NAMES,
+    DEFAULT_CAPS,
     check_boolean,
     check_ordered_length,
     check_padding,
@@ -31,9 +33,8 @@ from ascentlab.verification import (
     padding_violation,
     run_check,
     with_bumped_constraint,
-    without_constraints,
 )
-from references import traces_equivalent
+from references import traces_equivalent, without_constraints
 
 A = 0
 
@@ -473,25 +474,25 @@ def test_tampered_decomposition_is_detected():
 
 
 def _pathwidth_with_n3(monkeypatch, tamper) -> dict:
-    """The counterexample of check_pathwidth(4) when the n = 3 build is
-    replaced by tamper(instance, decomposition)."""
-    real = verification.build_boolean_pw4
+    """The counterexample of check_pathwidth(4) when the n = 3 hypergraph is
+    replaced by tamper(edges, decomposition)."""
+    real = verification.boolean_pw4_hypergraph
 
     def tampered(n):
-        inst, codec, decomp, start = real(n)
+        n_bits, edges, decomp = real(n)
         if n == 3:
-            inst, decomp = tamper(inst, decomp)
-        return inst, codec, decomp, start
+            edges, decomp = tamper(edges, decomp)
+        return n_bits, edges, decomp
 
-    monkeypatch.setattr(verification, "build_boolean_pw4", tampered)
+    monkeypatch.setattr(verification, "boolean_pw4_hypergraph", tampered)
     report = verification.check_pathwidth(4)
     assert not report.passed
     return report.counterexample
 
 
 def test_a_dropped_bag_fails_the_pathwidth_check(monkeypatch):
-    def drop_first_bag(inst, decomp):
-        return inst, PathDecomposition(decomp.bags[1:])
+    def drop_first_bag(edges, decomp):
+        return edges, PathDecomposition(decomp.bags[1:])
 
     assert _pathwidth_with_n3(monkeypatch, drop_first_bag) == {
         "n": 3,
@@ -500,20 +501,28 @@ def test_a_dropped_bag_fails_the_pathwidth_check(monkeypatch):
 
 
 def test_a_bag_of_six_bits_fails_the_pathwidth_check(monkeypatch):
-    def widen_first_bag(inst, decomp):
+    def widen_first_bag(edges, decomp):
         # bit 5 sits in bags 1 and 2, so it stays contiguous in bags 0..2
         assert 5 in decomp.bags[1] and 5 not in decomp.bags[0]
-        return inst, PathDecomposition((decomp.bags[0] | {5},) + decomp.bags[1:])
+        return edges, PathDecomposition((decomp.bags[0] | {5},) + decomp.bags[1:])
 
     assert _pathwidth_with_n3(monkeypatch, widen_first_bag) == {"n": 3, "width": 5}
 
 
 def test_an_arity_six_constraint_fails_the_pathwidth_check(monkeypatch):
-    def add_arity_six(inst, decomp):
-        wide = ValuedConstraint(tuple(range(6)), (0,) * 64, "wide")
-        return dataclasses.replace(inst, constraints=inst.constraints + (wide,)), decomp
+    def add_arity_six(edges, decomp):
+        return edges + ((tuple(range(6)), "wide"),), decomp
 
     assert _pathwidth_with_n3(monkeypatch, add_arity_six) == {"n": 3, "max_arity": 6}
+
+
+def test_the_pathwidth_check_fills_no_value_tensor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_pathwidth filled or validated a value tensor")
+
+    monkeypatch.setattr(constructions, "_assemble", refuse)
+    monkeypatch.setattr(VcspInstance, "validate", refuse)
+    assert verification.check_pathwidth(DEFAULT_CAPS["pathwidth"]).passed
 
 
 def test_helpers_reject_unknown_labels():
