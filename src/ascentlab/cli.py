@@ -75,11 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="'canonical' or a JSON file with a list of state ids",
     )
     asc.add_argument("--step-limit", type=int, default=None)
-    asc.add_argument("--trace", help="write the trace here (.csv or .json)")
     asc.add_argument(
-        "--summary-only",
-        action="store_true",
-        help="do not materialize steps (required for very long runs)",
+        "--trace",
+        help="write the trace here (.csv or .json); without it no step is recorded",
     )
     asc.add_argument("--seed", type=int, default=0, help="seed for the 'first' engine")
 
@@ -117,15 +115,14 @@ def _output(path: str) -> Path:
 def _cmd_gen(args) -> int:
     out = _output(args.out)
     if args.family == "bool-pw4":
+        stem = out.with_suffix("")
+        codec_path, decomp_path = (_output(f"{stem}.{kind}.json") for kind in ("codec", "decomp"))
         instance, codec, decomp, _ = build_boolean_pw4(args.n)
+        save_instance(instance, out)
+        codec_path.write_text(json.dumps(codec.to_json()), encoding="utf-8")
+        decomp_path.write_text(json.dumps(decomposition_to_json(decomp)), encoding="utf-8")
     else:
-        instance = build_family(args.family, args.n)
-        codec = decomp = None
-    save_instance(instance, out)
-    if codec is not None:
-        sidecar = out.with_suffix("")
-        for kind, doc in (("codec", codec.to_json()), ("decomp", decomposition_to_json(decomp))):
-            Path(f"{sidecar}.{kind}.json").write_text(json.dumps(doc), encoding="utf-8")
+        save_instance(build_family(args.family, args.n), out)
     print(json.dumps({"written": str(out), "family": args.family, "n": args.n}))
     return EXIT_OK
 
@@ -183,14 +180,11 @@ def _cmd_ascend(args) -> int:
         if args.n is None:
             raise BuildError("--family needs --n")
         instance = build_family(args.family, args.n)
-    if args.summary_only and args.trace:
-        raise BuildError("--summary-only cannot be combined with --trace")
 
     trace_path = args.trace and _output(args.trace)
     start = _load_start(args, instance)
-    record = not args.summary_only
     t0 = time.perf_counter()
-    trace = _run_engine(args, instance, start, args.step_limit, record)
+    trace = _run_engine(args, instance, start, args.step_limit, bool(trace_path))
     seconds = time.perf_counter() - t0
 
     if trace_path:

@@ -259,10 +259,6 @@ def _assemble(
     """A chain's constraints `_in_order`, each unit table times its weight and factor."""
     n = len(cells)
     constraints = []
-    append = constraints.append
-    # A row's scope is already a tuple, so each constraint is made directly
-    # rather than through ValuedConstraint's coercing constructor.
-    new = tuple.__new__
     for k, rows in _in_order(cells):
         factors = (scale, n - k + 1, penalty)
         for scope, (size, entries), label, weight, factor in rows:
@@ -270,7 +266,7 @@ def _assemble(
             values = [0] * size
             for i, v in entries:
                 values[i] = f * v
-            append(new(ValuedConstraint, (scope, tuple(values), label)))
+            constraints.append(ValuedConstraint(scope, values, label))
     return tuple(constraints)
 
 

@@ -124,9 +124,8 @@ def neighbors_of(domains: Sequence[DomainSpec], x: Sequence[int]) -> list[tuple[
     return out
 
 
-# A constraint's scope and values, read in C.
+# A constraint's scope, read in C.
 _scope_of = operator.itemgetter(0)
-_values_of = operator.itemgetter(1)
 Edge = tuple[tuple[int, ...], str]  # a constraint's scope and label
 
 
@@ -289,33 +288,9 @@ class VcspInstance:
     def validate(self) -> list[str]:
         """Return a list of structural defects; empty means the instance is ok.
 
-        Each distinct (scope, tensor length) pair is checked once: the scope
-        is non-empty, repeats no variable and names only known variables, and
-        the length is the product of the scope's domain sizes.  Only an
-        instance that fails is walked constraint by constraint, to word its
-        defects: in constraint order, each constraint's own, naming every
-        constraint on a defective scope."""
-        constraints = self.constraints
-        if not constraints:
-            return []
-        scopes, lengths = zip(
-            *dict.fromkeys(zip(map(_scope_of, constraints), map(len, map(_values_of, constraints))))
-        )
-        sizes = self.sizes
-        used = set().union(*scopes)
-        if (
-            all(scopes)
-            and min(used) >= 0
-            and max(used) < len(sizes)
-            and sum(map(len, map(set, scopes))) == sum(map(len, scopes))
-        ):
-            expected = map(math.prod, map(map, repeat(sizes.__getitem__), scopes))
-            if all(map(operator.eq, lengths, expected)):
-                return []
-        return self._defects()
-
-    def _defects(self) -> list[str]:
-        """validate()'s defects, worded constraint by constraint."""
+        In constraint order, each constraint's own: its scope is non-empty,
+        repeats no variable and names only known variables, and its tensor
+        length is the product of the scope's domain sizes."""
         defects: list[str] = []
         n = self.n_vars
         size_of = self._sizes.__getitem__  # type: ignore[attr-defined]

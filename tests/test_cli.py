@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import ascentlab
 from ascentlab import build_2by3, f_max, instance_to_json, load_instance
-from ascentlab.cli import main
+from ascentlab.cli import _build_parser, main
 from references import brute_force_extremes
 
 
@@ -108,17 +108,34 @@ def test_ascend_start_file_and_json_trace(tmp_path, capsys):
     assert json.loads(trace.read_text())["terminal"] is True
 
 
-def test_ascend_flag_conflicts(capsys, tmp_path):
+def test_ascend_flag_conflicts(capsys):
     code, _, err = run(capsys, "ascend", "--family", "2by3")
     assert code == 2 and "--n" in err
     code, _, err = run(capsys, "ascend")
     assert code == 2
-    code, _, err = run(
-        capsys,
-        "ascend", "--family", "2by3", "--n", "2",
-        "--summary-only", "--trace", str(tmp_path / "t.csv"),
-    )
-    assert code == 2
+
+
+def test_summary_only_is_not_an_option(capsys):
+    # Summary mode is what `ascend` runs unless --trace asks for the steps.
+    with pytest.raises(SystemExit) as stopped:
+        main(["ascend", "--family", "2by3", "--n", "4", "--summary-only"])
+    assert stopped.value.code == 2
+    assert "unrecognized arguments: --summary-only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["steepest", "ordered", "first"])
+def test_ascend_prints_the_same_summary_with_and_without_a_trace(tmp_path, capsys, engine):
+    argv = ["ascend", "--family", "bool-pw4", "--n", "6", "--engine", engine]
+    summaries = []
+    for extra in ([], ["--trace", str(tmp_path / "t.csv")]):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        summary = json.loads(out)
+        del summary["seconds"], summary["steps_per_sec"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+    steps = len((tmp_path / "t.csv").read_text().splitlines()) - 1
+    assert steps == summaries[1]["steps"] > 0
 
 
 def _must_not_run(*args, **kwargs):
@@ -147,6 +164,22 @@ def test_a_missing_output_directory_fails_before_the_work(
     _assert_usage_error(code, out, err)
     assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sidecar_path_that_is_a_directory_fails_before_the_build(
+    tmp_path, capsys, monkeypatch
+):
+    import ascentlab.cli as cli
+
+    monkeypatch.setattr(cli, "build_boolean_pw4", _must_not_run)
+    blocked = tmp_path / "b.codec.json"
+    blocked.mkdir()
+    code, out, err = run(
+        capsys, "gen", "--family", "bool-pw4", "--n", "4", "--out", str(tmp_path / "b.json")
+    )
+    _assert_usage_error(code, out, err)
+    assert err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
+    assert list(tmp_path.iterdir()) == [blocked]
 
 
 @pytest.mark.parametrize(
@@ -388,6 +421,39 @@ def test_oversized_meta_n_exits_2_before_building_a_start(tmp_path):
     )
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: meta.n") and done.stderr.count("\n") == 1
+
+
+def test_a_long_ordered_walk_runs_in_a_small_address_space():
+    # Without --trace no step is recorded, so a 3.1M-step walk fits in 128 MB
+    # of address space; recording its steps would need several times that.
+    cap = 128 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = Path(ascentlab.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "ascentlab", "ascend", "--family", "2by3", "--n", "34",
+         "--engine", "ordered"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["steps"] == f_max(34)
+
+
+def test_the_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) == 7
+    for line in lines:
+        command = line.partition("#")[0].split()
+        assert command[0] == "ascentlab"
+        _build_parser().parse_args(command[1:])
 
 
 @pytest.mark.parametrize("cap", ["pathwidth=-3", "pathwidth=1", "boolean-equiv=0", "1"])
