@@ -37,9 +37,10 @@ reused and steepest rescans every variable.  First-improvement ascent calls
 moves, rebuilds only the moved variable's list, and draws its random scan
 order lazily, so a step pays only for the moves it tests.
 
-The verifiers also need `neighbors(x)` and `_reference_delta(x, k, t)`, and
-share neither `_delta` nor the memo with the engines.  They replay a trace
-and evaluate every visited state from scratch with full `fitness`.  A
+The verifiers and the oracle also need `_fitness(x)`, the unchecked
+evaluation of an assignment they have validated, and `_reference_delta(x, k,
+t)`, and share neither `_delta` nor the memo with the engines.  They check a
+trace's start and moves, then evaluate every visited state from scratch.  A
 step's neighbours are scored as that value plus `_reference_delta`, which
 reads only the raw tensors of the constraints on the moved variable through
 its own index; the terminal state's moves are scored the same way.  So a
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import IO, NamedTuple, Sequence
 
-from .model import InvalidAssignmentError
+from .model import InvalidAssignmentError, neighbors_of
 
 
 class StepRecord(NamedTuple):
@@ -439,7 +440,7 @@ def _improving_move(landscape, x: tuple[int, ...]) -> tuple[int, int] | None:
     """The first permitted move (k, t) of x, ascending, that `_reference_delta`
     scores as improving, or None at a local solution."""
     score = landscape._reference_delta
-    for k, t in landscape.neighbors(x):
+    for k, t in neighbors_of(landscape.domains, x):
         if score(x, k, t) > 0:
             return k, t
     return None
@@ -453,9 +454,10 @@ def _checked_walk(
     states = _replayed_states(landscape, trace)
     if isinstance(states, AscentViolation):
         return states
-    fits = [landscape.fitness(states[0])]
+    # The replay checked the start and every move, so each state is valid.
+    fits = [landscape._fitness(states[0])]
     for i, rec in enumerate(trace.steps or ()):
-        f = landscape.fitness(states[i + 1])
+        f = landscape._fitness(states[i + 1])
         if f != rec.fitness_after:
             return AscentViolation(
                 i, f"recorded fitness {rec.fitness_after} != actual {f}"
@@ -501,7 +503,7 @@ def verify_steepest(landscape, trace: AscentTrace) -> AscentViolation | None:
         x = states[i]
         # A neighbour beats the chosen state when its change exceeds this.
         gain = fits[i + 1] - fits[i]
-        for k, t in landscape.neighbors(x):
+        for k, t in neighbors_of(landscape.domains, x):
             d = score(x, k, t)
             if d > gain:
                 return AscentViolation(

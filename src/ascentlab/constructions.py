@@ -349,6 +349,8 @@ class ExpandedLandscape:
     and `fitness` and `_min_completion` (so also `pair_ceiling` and
     `padding_defect`) read it.  The dict grows to at most the base
     assignment space, which the landscape only meets at small n.
+    `_fitness` and `_reference_delta` do not check their assignment; its
+    completions, valid when it is, are evaluated by the base's `_fitness`.
     """
 
     def __init__(self, base: VcspInstance):
@@ -372,7 +374,7 @@ class ExpandedLandscape:
         key = tuple(y)
         f = self._base_fitnesses.get(key)
         if f is None:
-            f = self._base_fitnesses[key] = self.base.fitness(key)
+            f = self._base_fitnesses[key] = self.base._fitness(key)
         return f
 
     def _intermediates(self, x: Sequence[int]) -> list[int]:
@@ -393,6 +395,10 @@ class ExpandedLandscape:
 
     def fitness(self, x: Sequence[int]) -> int:
         self.check_assignment(x)
+        return self._fitness(x)
+
+    def _fitness(self, x: Sequence[int]) -> int:
+        """`fitness` of an assignment the caller has already validated."""
         inter = self._intermediates(x)
         if not inter:
             return self.scale * self._base_fitness(x)
@@ -417,6 +423,7 @@ class ExpandedLandscape:
         """The two-intermediate fitness ceiling for an assignment with exactly
         two intermediates; anything at or below it keeps such states off a
         steepest ascent."""
+        self.check_assignment(x)
         inter = self._intermediates(x)
         if len(inter) != 2:
             raise BuildError("ceiling is defined for exactly two intermediates")
@@ -459,7 +466,7 @@ class ExpandedLandscape:
         padded fitness reads the whole base, so it has no smaller scope."""
         y = list(x)
         y[k] = t
-        return self.fitness(y) - self.fitness(x)
+        return self._fitness(y) - self._fitness(x)
 
     def neighbors(self, x: Sequence[int]) -> list[tuple[int, int]]:
         self.check_assignment(x)
@@ -473,18 +480,22 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
     intermediate state between u and v, with fitness taken from the expanded
     landscape.  The base fitness of each main state is computed from scratch
     once, and it gives the padded fitness of the main state and of the
-    intermediate step into the next one.
+    intermediate step into the next one.  The start and each step's variable,
+    source state and transition are checked, so every state reached is valid.
     """
     if trace.steps is None:
         raise BuildError("simulate_ascent needs a trace with recorded steps")
     base, scale = landscape.base, landscape.scale
+    base.check_assignment(trace.start)
     x = list(trace.start)
-    f_before = base.fitness(x)
+    f_before = base._fitness(x)
     steps: list[StepRecord] = []
-    for k, u, v, _ in trace.steps:
+    for i, (k, u, v, _) in enumerate(trace.steps):
+        if not (0 <= k < len(x) and x[k] == u):
+            raise BuildError(f"step {i} (variable {k}, {u} -> {v}) does not start from the walk")
         sid = landscape.doms[k].sigma_id(u, v)
         x[k] = v
-        f_after = base.fitness(x)
+        f_after = base._fitness(x)
         steps.append(StepRecord(k, u, sid, landscape._one_intermediate(k, f_before, f_after)))
         steps.append(StepRecord(k, sid, v, scale * f_after))
         f_before = f_after

@@ -319,8 +319,13 @@ class VcspInstance:
     # -- evaluation ---------------------------------------------------------
 
     def fitness(self, x: Sequence[int]) -> int:
-        """Sum of all constraint values selected by x."""
+        """Sum of all constraint values selected by x, which is checked first."""
         self.check_assignment(x)
+        return self._fitness(x)
+
+    def _fitness(self, x: Sequence[int]) -> int:
+        """`fitness` of an assignment its caller has validated, such as a state
+        a verifier replayed, enumerated or completed.  No checks."""
         t1, t2, t3, t4, t5, wide = self._fitness_tables
         total = 0
         for values, a in t1:

@@ -12,6 +12,7 @@ differently: `padding_violation` and `_retrace_failure`.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -38,6 +39,7 @@ from .model import (
     ValuedConstraint,
     VcspInstance,
     check_hypergraph_decomposition,
+    neighbors_of,
 )
 
 
@@ -76,10 +78,11 @@ def exhaustive_steepest_oracle(
     landscape, start: Sequence[int], step_limit: int | None = None
 ) -> AscentTrace:
     """Steepest ascent recomputed from scratch: the entire neighborhood is
-    re-evaluated with full fitness calls at every step (no delta evaluation)."""
+    re-evaluated with full fitness calls at every step (no delta evaluation).
+    Only the start is checked; `_fitness` evaluates it and each neighbour."""
     landscape.check_assignment(start)
     x = list(start)
-    f = landscape.fitness(x)
+    f = landscape._fitness(x)
     steps: list[StepRecord] = []
     ties = 0
     terminal = True
@@ -88,10 +91,10 @@ def exhaustive_steepest_oracle(
         best_f = f
         tied = False
         y = list(x)
-        for k, t in landscape.neighbors(x):
+        for k, t in neighbors_of(landscape.domains, x):
             s = y[k]
             y[k] = t
-            fy = landscape.fitness(y)
+            fy = landscape._fitness(y)
             y[k] = s
             if fy > best_f:
                 best = (k, t, fy)
@@ -161,15 +164,14 @@ def _fmax_recurrence_defect(n_max: int) -> str | None:
 def _first_difference(got: Sequence, want: Sequence) -> tuple[int, object, object] | None:
     """The first index where two sequences differ, as `(i, got[i], want[i])`,
     or None.  When one is a prefix of the other they differ at the shorter
-    length, and the missing side reads None."""
-    if got == want:
+    length, and the missing side reads None.  Equal items, not equal types,
+    make them equal, so a list can match a range."""
+    if len(got) == len(want) and all(map(operator.eq, got, want)):
         return None
     for i, (g, w) in enumerate(zip(got, want)):
         if g != w:
             return i, g, w
     i = min(len(got), len(want))
-    if i == max(len(got), len(want)):
-        return None
     return i, got[i] if i < len(got) else None, want[i] if i < len(want) else None
 
 
@@ -303,7 +305,7 @@ def padding_violation(
         state = x if codec is None else tuple(codec.decode_states(x))
         if None in state:
             continue
-        got = instance.fitness(x)
+        got = instance._fitness(x)
         kept = best.get(state)
         if kept is None or got > kept[0]:
             best[state] = (got, x)

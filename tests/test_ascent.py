@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import io
 import json
@@ -39,6 +40,7 @@ from ascentlab import (
 )
 from ascentlab import ascent
 from ascentlab.ascent import StepRecord, _Blankets, _Sparse
+from ascentlab.verification import padding_violation
 from references import traces_equivalent
 from relabelling import relabel
 
@@ -418,6 +420,46 @@ def test_verifiers_score_the_terminal_state_without_delta(monkeypatch):
         assert (v.step, v.reason, v.witness) == (
             20, "terminal trace does not end at a local solution", (3, 3)
         )
+
+
+class _CountingChecks:
+    """Delegates to a landscape and counts the calls of its checked entry
+    points `fitness`, `neighbors` and `check_assignment`."""
+
+    CHECKED = ("fitness", "neighbors", "check_assignment")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name not in self.CHECKED:
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+
+        return counted
+
+
+def test_verifiers_validate_each_state_once():
+    # The start is checked once and every later state is a checked move
+    # away, so the from-scratch evaluations go through the unchecked
+    # `_fitness` and the move lists through `neighbors_of`.
+    inst = build_3by5(6)
+    tr = steepest_ascent(inst, canonical_start("3by5", 6))
+    landscape = _CountingChecks(inst)
+    assert verify_steepest(landscape, tr) is None
+    assert landscape.calls == {"check_assignment": 1}
+    landscape = _CountingChecks(build_3by5(4))
+    oracle = exhaustive_steepest_oracle(landscape, canonical_start("3by5", 4))
+    assert oracle.length == 2 * f_max(4) and landscape.calls == {"check_assignment": 1}
+    # Every enumerated assignment is valid, so none is checked again.
+    instance = _CountingChecks(build_3by5(4))
+    assert padding_violation(instance, ExpandedLandscape(build_2by3(4))) is None
+    assert instance.calls["fitness"] == 0
 
 
 @pytest.mark.parametrize("family", ["2by3", "3by5", "bool-pw4"])

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
 from ascentlab import (
+    BuildError,
     DomainSpec,
     ExpandedLandscape,
+    InvalidAssignmentError,
     ValuedConstraint,
     VcspInstance,
     build_2by3,
@@ -18,6 +21,7 @@ from ascentlab import (
     simulate_ascent,
     steepest_ascent,
 )
+from ascentlab.ascent import StepRecord
 from relabelling import relabel
 
 A, B, C = 0, 1, 2
@@ -127,3 +131,20 @@ def test_simulation_of_empty_trace():
     tr = ordered_ascent(base, (B, C))
     sim = simulate_ascent(tr, ExpandedLandscape(base))
     assert sim.length == 0 and sim.terminal and sim.final == (B, C)
+
+
+def test_simulation_refuses_a_malformed_trace():
+    base = build_2by3(3)
+    landscape = ExpandedLandscape(base)
+    tr = ordered_ascent(base, canonical_start("2by3", 3))
+    first, second, *rest = tr.steps
+    # Step 1 moves variable 1 from state B, but variable 1 is still in A.
+    off_state = (first, StepRecord(1, B, A, second.fitness_after), *rest)
+    with pytest.raises(BuildError, match=r"step 1 \(variable 1, 1 -> 0\) does not start"):
+        simulate_ascent(dataclasses.replace(tr, steps=off_state), landscape)
+    # A negative variable id must not index from the end.
+    off_range = (first._replace(var=-3), second, *rest)
+    with pytest.raises(BuildError, match=r"step 0 \(variable -3, 0 -> 1\) does not start"):
+        simulate_ascent(dataclasses.replace(tr, steps=off_range), landscape)
+    with pytest.raises(InvalidAssignmentError, match="state -1 out of range for variable 2"):
+        simulate_ascent(dataclasses.replace(tr, start=(A, A, -1)), landscape)

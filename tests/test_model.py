@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import random
 from functools import cached_property
@@ -11,6 +12,7 @@ import pytest
 from ascentlab import (
     BuildError,
     DomainSpec,
+    ExpandedLandscape,
     InvalidAssignmentError,
     ModelError,
     PathDecomposition,
@@ -19,6 +21,7 @@ from ascentlab import (
     build_2by3,
     build_3by5,
     build_boolean_pw4,
+    build_family,
     check_path_decomposition,
     instance_from_json,
     instance_to_json,
@@ -78,17 +81,40 @@ def test_fitness_empty_sum():
 
 
 def test_fitness_rejects_invalid_assignments():
+    # The checked entry points of both landscapes; only `_fitness` skips the check.
     inst = build_2by3(2)
-    with pytest.raises(InvalidAssignmentError, match="assignment has length 1, expected 2"):
-        inst.fitness((A,))
-    with pytest.raises(
-        InvalidAssignmentError, match=r"state 2 out of range for variable 0 \(2 states\)"
-    ):
-        inst.fitness((2, 0))
-    with pytest.raises(
-        InvalidAssignmentError, match=r"state -1 out of range for variable 1 \(3 states\)"
-    ):
-        inst.fitness((A, -1))
+    expanded = ExpandedLandscape(inst)
+    for landscape in (inst, expanded):
+        odd, even = (d.size for d in landscape.domains)
+        for entry in (landscape.fitness, landscape.neighbors):
+            with pytest.raises(InvalidAssignmentError, match="assignment has length 1, expected 2"):
+                entry((A,))
+            with pytest.raises(
+                InvalidAssignmentError,
+                match=rf"state {odd} out of range for variable 0 \({odd} states\)",
+            ):
+                entry((odd, 0))
+            with pytest.raises(
+                InvalidAssignmentError,
+                match=rf"state -1 out of range for variable 1 \({even} states\)",
+            ):
+                entry((A, -1))
+    with pytest.raises(InvalidAssignmentError, match=r"state -1 out of range"):
+        expanded.pair_ceiling((2, -1))
+
+
+@pytest.mark.parametrize("family", ["2by3", "3by5", "bool-pw4"])
+def test_unchecked_fitness_equals_fitness(family):
+    for n in (2, 3):
+        inst = build_family(family, n)
+        for x in inst.all_assignments():
+            assert inst._fitness(x) == inst.fitness(x)
+
+
+def test_unchecked_fitness_equals_fitness_on_the_expanded_landscape():
+    landscape = ExpandedLandscape(build_2by3(3))
+    for x in itertools.product(*(range(d.size) for d in landscape.domains)):
+        assert landscape._fitness(x) == landscape.fitness(x)
 
 
 # -- delta evaluation ------------------------------------------------------------

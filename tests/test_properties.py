@@ -131,7 +131,7 @@ def wide_cases(draw):
 def test_fitness_and_delta_equal_a_reference_evaluator(case):
     inst, x = case
     f = _reference_fitness(inst, x)
-    assert inst.fitness(x) == f
+    assert inst.fitness(x) == inst._fitness(x) == f
     y = list(x)
     for k, dom in enumerate(inst.domains):
         for v in range(dom.size):
@@ -315,6 +315,7 @@ def test_simulated_ascent_takes_its_fitness_from_the_expanded_landscape(case):
     sim = simulate_ascent(walk, landscape)
     states = list(sim.states())
     assert sim.fitness_values() == [landscape.fitness(x) for x in states[1:]]
+    assert [landscape._fitness(x) for x in states] == [landscape.fitness(x) for x in states]
     assert sim.final == states[-1]
     assert sim.final_fitness == landscape.fitness(sim.final)
 

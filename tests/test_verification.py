@@ -401,6 +401,16 @@ def test_a_walk_past_a_better_neighbour_fails_the_simulation_check(monkeypatch):
     assert report.counterexample == {"n": 3, "step": 0, "witness": (2, 2)}
 
 
+def test_first_difference_reads_items_not_types():
+    # The length check compares a walk's fitness list with a range.
+    first_difference = verification._first_difference
+    assert first_difference([1, 2, 3], range(1, 4)) is None
+    assert first_difference([1, 5, 3], range(1, 4)) == (1, 5, 2)
+    assert first_difference([1, 2], range(1, 4)) == (2, None, 3)
+    assert first_difference([1, 2, 3, 4], range(1, 4)) == (3, 4, None)
+    assert first_difference([[0, 1], [1]], [[0, 1], [1]]) is None
+
+
 @pytest.mark.parametrize(
     "tamper, problem",
     [
