@@ -336,21 +336,23 @@ _EXPANDED = {d: ExpandedDomain.of(d) for d in (TWO_STATE, THREE_STATE)}
 class ExpandedLandscape:
     """Fitness over expanded domains, defined directly from the base instance.
 
-    With no intermediates the fitness is (2n+1) times the base fitness.  With
-    a single intermediate at variable k (1-based; another ascent order is this
-    order on a relabelled base) it is the positional bonus n-k+1 plus (2n+1)
-    times the smaller of the two completions, except that the bonus is dropped
-    when the completions tie.  With two or more intermediates it is (2n+1)
-    times the min over all completions, which stays under the two-intermediate
-    ceiling 2n-(j+k)+2 + (2n+1)*min.
+    One rule values every state: (2n+1) times the smallest base fitness over
+    its completions (each intermediate replaced by either of its flanking
+    main states; with none, the state itself), plus the positional bonus
+    n-k+1 of a lone intermediate at variable k (1-based; another ascent order
+    is this order on a relabelled base) whose two completions differ.
+    `_completions` lists a state's completions' base fitness and `_padded`
+    applies the rule to them; `_fitness` and `padding_defect` read both, and
+    `simulate_ascent` applies `_padded` to the completions it evaluates.  The
+    padding check bounds a state with two intermediates j and k by `_ceiling`:
+    its value plus both bonuses.
 
-    Each base completion is evaluated once per landscape: `_base_fitness`
-    keeps a dict from each base assignment met so far to its base fitness,
-    and `fitness` and `_min_completion` (so also `pair_ceiling` and
-    `padding_defect`) read it.  The dict grows to at most the base
-    assignment space, which the landscape only meets at small n.
-    `_fitness` and `_reference_delta` do not check their assignment; its
-    completions, valid when it is, are evaluated by the base's `_fitness`.
+    Each base completion is evaluated once per landscape: `_completions`
+    keeps a dict from each base assignment met so far to its base fitness.
+    The dict grows to at most the base assignment space, which the landscape
+    only meets at small n.  `_fitness`, `_padding_defect` and
+    `_reference_delta` do not check their assignment; its completions, valid
+    when it is, are evaluated by the base's `_fitness`.
     """
 
     def __init__(self, base: VcspInstance):
@@ -369,29 +371,30 @@ class ExpandedLandscape:
     def check_assignment(self, x: Sequence[int]) -> None:
         check_assignment_against(self._sizes, x)
 
-    def _base_fitness(self, y: Sequence[int]) -> int:
-        """The base fitness of the base assignment y, evaluated on first use."""
-        key = tuple(y)
-        f = self._base_fitnesses.get(key)
-        if f is None:
-            f = self._base_fitnesses[key] = self.base._fitness(key)
-        return f
-
     def _intermediates(self, x: Sequence[int]) -> list[int]:
         return [k for k, (s, n_main) in enumerate(zip(x, self._n_main)) if s >= n_main]
 
-    def _min_completion(self, x: Sequence[int], inter: list[int]) -> int:
-        """Smallest base fitness over every way of replacing each intermediate
-        in `inter` by one of its two flanking main states."""
+    def _completions(self, x: Sequence[int], inter: Sequence[int]) -> list[int]:
+        """The base fitness of each completion of x over its intermediates
+        `inter`, in `itertools.product` order of their flanking pairs."""
         y = list(x)
-        best = None
+        fs = []
         for combo in itertools.product(*(self.doms[k].pair_of(x[k]) for k in inter)):
             for k, w in zip(inter, combo):
                 y[k] = w
-            f = self._base_fitness(y)
-            if best is None or f < best:
-                best = f
-        return best
+            key = tuple(y)
+            f = self._base_fitnesses.get(key)
+            if f is None:
+                f = self._base_fitnesses[key] = self.base._fitness(key)
+            fs.append(f)
+        return fs
+
+    def _padded(self, inter: Sequence[int], fs: Sequence[int]) -> int:
+        """The padded value of a state with intermediates `inter` whose
+        completions have base fitness `fs`."""
+        if len(inter) == 1 and fs[0] != fs[1]:
+            return self.bonus[inter[0]] + self.scale * min(fs)
+        return self.scale * min(fs)
 
     def fitness(self, x: Sequence[int]) -> int:
         self.check_assignment(x)
@@ -400,35 +403,13 @@ class ExpandedLandscape:
     def _fitness(self, x: Sequence[int]) -> int:
         """`fitness` of an assignment the caller has already validated."""
         inter = self._intermediates(x)
-        if not inter:
-            return self.scale * self._base_fitness(x)
-        if len(inter) == 1:
-            k = inter[0]
-            y = list(x)
-            u, v = self.doms[k].pair_of(x[k])
-            y[k] = u
-            fu = self._base_fitness(y)
-            y[k] = v
-            return self._one_intermediate(k, fu, self._base_fitness(y))
-        return self.scale * self._min_completion(x, inter)
+        return self._padded(inter, self._completions(x, inter))
 
-    def _one_intermediate(self, k: int, fu: int, fv: int) -> int:
-        """Padded fitness of a state whose only intermediate is at variable
-        k, from the base fitness of its two completions."""
-        if fu == fv:
-            return self.scale * fu
-        return self.bonus[k] + self.scale * min(fu, fv)
-
-    def pair_ceiling(self, x: Sequence[int]) -> int:
-        """The two-intermediate fitness ceiling for an assignment with exactly
-        two intermediates; anything at or below it keeps such states off a
-        steepest ascent."""
-        self.check_assignment(x)
-        inter = self._intermediates(x)
-        if len(inter) != 2:
-            raise BuildError("ceiling is defined for exactly two intermediates")
+    def _ceiling(self, x: Sequence[int], inter: list[int]) -> int:
+        """The two-intermediate ceiling; anything at or below it keeps such
+        states off a steepest ascent."""
         j, k = inter
-        return self.bonus[j] + self.bonus[k] + self.scale * self._min_completion(x, inter)
+        return self.bonus[j] + self.bonus[k] + self._padded(inter, self._completions(x, inter))
 
     def padding_defect(self, x: Sequence[int], got: int) -> dict | None:
         """How a padded value `got` at `x` breaks the padding rules, or None.
@@ -437,12 +418,17 @@ class ExpandedLandscape:
         with exactly two it must stay at or below the two-intermediate
         ceiling; with more, any value is allowed.
         """
+        self.check_assignment(x)
+        return self._padding_defect(x, got)
+
+    def _padding_defect(self, x: Sequence[int], got: int) -> dict | None:
+        """`padding_defect` of an assignment the caller has already validated."""
         inter = self._intermediates(x)
         if len(inter) <= 1:
-            rule, bound = "expected", self.fitness(x)
+            rule, bound = "expected", self._padded(inter, self._completions(x, inter))
             broken = got != bound
         elif len(inter) == 2:
-            rule, bound = "ceiling", self.pair_ceiling(x)
+            rule, bound = "ceiling", self._ceiling(x, inter)
             broken = got > bound
         else:
             return None
@@ -478,10 +464,11 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
 
     Every base step u->v at variable k becomes two steps through the
     intermediate state between u and v, with fitness taken from the expanded
-    landscape.  The base fitness of each main state is computed from scratch
-    once, and it gives the padded fitness of the main state and of the
-    intermediate step into the next one.  The start and each step's variable,
-    source state and transition are checked, so every state reached is valid.
+    landscape's one rule (`ExpandedLandscape._padded`).  The base fitness of
+    each main state is computed from scratch once, and it gives the padded
+    fitness of the main state and of the intermediate step into the next one.
+    The start and each step's variable, source state and transition are
+    checked, so every state reached is valid.
     """
     if trace.steps is None:
         raise BuildError("simulate_ascent needs a trace with recorded steps")
@@ -493,10 +480,12 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
     for i, (k, u, v, _) in enumerate(trace.steps):
         if not (0 <= k < len(x) and x[k] == u):
             raise BuildError(f"step {i} (variable {k}, {u} -> {v}) does not start from the walk")
+        if not base.domains[k].allows(u, v):
+            raise BuildError(f"step {i} (variable {k}, {u} -> {v}) is not a permitted move")
         sid = landscape.doms[k].sigma_id(u, v)
         x[k] = v
         f_after = base._fitness(x)
-        steps.append(StepRecord(k, u, sid, landscape._one_intermediate(k, f_before, f_after)))
+        steps.append(StepRecord(k, u, sid, landscape._padded((k,), (f_before, f_after))))
         steps.append(StepRecord(k, sid, v, scale * f_after))
         f_before = f_after
     final = tuple(x)

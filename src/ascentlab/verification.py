@@ -310,7 +310,7 @@ def padding_violation(
         if kept is None or got > kept[0]:
             best[state] = (got, x)
     for state, (got, x) in best.items():
-        bad = landscape.padding_defect(state, got)
+        bad = landscape._padding_defect(state, got)
         if bad is not None:
             return {**bad, "assignment": list(x)}
     return None

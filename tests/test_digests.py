@@ -15,16 +15,22 @@ the order in which the seeded scan draws its moves shows.
 The verify digest is the sha256 of every check's JSON report at small caps,
 without its run time, so any change to a verdict, a detail line or a
 counterexample shows.
+
+The landscape digest pins `ExpandedLandscape`, the padding reference: the
+padded value of every state of `build_2by3(n)`'s expansion for n = 2..4,
+and the two-intermediate ceiling where a state has one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from ascentlab import (
+    ExpandedLandscape,
     build_2by3,
     build_3by5,
     build_boolean_pw4,
@@ -138,3 +144,16 @@ def test_verify_reports_are_pinned():
         del report["runtime_s"]
     text = json.dumps(reports)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGEST
+
+
+LANDSCAPE_DIGEST = "7321e8a9666a36186e57b788364c9cc2fec4320d57e62db273ff6d6e5985d4c5"
+
+
+def test_expanded_landscape_values_are_pinned():
+    rows = []
+    for n in range(2, 5):
+        ls = ExpandedLandscape(build_2by3(n))
+        for x in itertools.product(*(range(d.size) for d in ls.domains)):
+            defect = ls.padding_defect(x, 10**9)
+            rows.append([n, list(x), ls.fitness(x), defect and defect.get("ceiling")])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == LANDSCAPE_DIGEST

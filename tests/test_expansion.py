@@ -72,13 +72,19 @@ def test_tied_completions_drop_the_bonus():
     assert ls.fitness((A, 2)) == 1 + 5 * 0  # completions 0 vs 3 differ: bonus 1
 
 
+def _ceiling(ls, x):
+    """The two-intermediate ceiling at x, as `padding_defect` reports it for
+    a value above every ceiling."""
+    return ls.padding_defect(x, 10**9)["ceiling"]
+
+
 def test_two_intermediates_take_the_scaled_minimum():
     base = build_2by3(2)
     ls = ExpandedLandscape(base)
     got = ls.fitness((2, 3))
     want = 5 * min(base.fitness((u, v)) for u in (A, B) for v in (A, B))
     assert got == want
-    assert got <= ls.pair_ceiling((2, 3))
+    assert _ceiling(ls, (2, 3)) == got + 2 + 1  # both positional bonuses
 
 
 def test_pair_ceiling_has_nonnegative_slack():
@@ -87,7 +93,7 @@ def test_pair_ceiling_has_nonnegative_slack():
     for x in itertools.product(*(range(d.size) for d in ls.domains)):
         inter = [k for k in range(4) if x[k] >= ls.doms[k].n_main]
         if len(inter) == 2:
-            assert ls.fitness(x) <= ls.pair_ceiling(x)
+            assert ls.fitness(x) <= _ceiling(ls, x)
 
 
 def test_custom_order_moves_the_bonus():
@@ -146,5 +152,10 @@ def test_simulation_refuses_a_malformed_trace():
     off_range = (first._replace(var=-3), second, *rest)
     with pytest.raises(BuildError, match=r"step 0 \(variable -3, 0 -> 1\) does not start"):
         simulate_ascent(dataclasses.replace(tr, steps=off_range), landscape)
+    # A step that stays put, and A -> C, which {A, B, C} at an even variable
+    # does not permit, are not moves.
+    for bad, text in ((StepRecord(0, A, A, 1), "0 -> 0"), (first._replace(dst=C), "0 -> 2")):
+        with pytest.raises(BuildError, match=rf"step 0 \(variable 0, {text}\) is not a permitted move"):
+            simulate_ascent(dataclasses.replace(tr, steps=(bad, second, *rest)), landscape)
     with pytest.raises(InvalidAssignmentError, match="state -1 out of range for variable 2"):
         simulate_ascent(dataclasses.replace(tr, start=(A, A, -1)), landscape)

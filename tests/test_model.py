@@ -100,7 +100,11 @@ def test_fitness_rejects_invalid_assignments():
             ):
                 entry((A, -1))
     with pytest.raises(InvalidAssignmentError, match=r"state -1 out of range"):
-        expanded.pair_ceiling((2, -1))
+        expanded.padding_defect((2, -1), 0)
+    # Three out-of-range states read as three intermediates, a count for
+    # which any value passes: the check still comes first.
+    with pytest.raises(InvalidAssignmentError, match=r"state 9 out of range for variable 0"):
+        ExpandedLandscape(build_2by3(3)).padding_defect((9, 9, 9), 0)
 
 
 @pytest.mark.parametrize("family", ["2by3", "3by5", "bool-pw4"])
