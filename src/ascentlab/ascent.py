@@ -2,14 +2,14 @@
 
 Engines work against any landscape object that exposes `domains`,
 `check_assignment`, `fitness`, `var_neighbors(k)` (the variables whose
-states k's moves depend on) and the unchecked `_delta(x, k, s, v)` hook;
-both `VcspInstance` and the expanded-landscape oracle qualify.  All three
-engines run through one pure-Python step loop with exact integers, in
-recorded and summary mode alike; each engine only supplies the policy that
-picks the next move.  Ordered ascent's order ≺ is the variable-id order, as
-for `pad` and `ExpandedLandscape`: an ascent in another order is the
-identity-order ascent of the instance with its variables relabelled by it
-(variable i of the relabelled instance is variable order[i]).
+states k's moves depend on) and the unchecked `_delta(x, k, s, v)` hook, as
+`VcspInstance` does.  All three engines run through one pure-Python step
+loop with exact integers, in recorded and summary mode alike; each engine
+only supplies the policy that picks the next move.  Ordered ascent's order ≺
+is the variable-id order, as for `pad` and `ExpandedLandscape`: an ascent in
+another order is the identity-order ascent of the instance with its
+variables relabelled by it (variable i of the relabelled instance is
+variable order[i]).
 
 Steepest and ordered ascent read each variable's best move from one per-walk
 helper, `_Blankets`.  A variable's best move depends only on its own state
@@ -30,12 +30,10 @@ gain, then the lowest variable id, with the step counted as tied when
 another variable reaches that gain or the variable has more than one best
 target.  After a move one pass over the moved variable's dependants adds
 their key increments, looks up their entries and updates the improving set,
-so a step costs O(blanket + improving set), not O(n).  The expanded
-landscape's blanket is every other variable, so there the memo is never
-reused and steepest rescans every variable.  First-improvement ascent calls
-`_delta` directly, one move at a time: it keeps each variable's permitted
-moves, rebuilds only the moved variable's list, and draws its random scan
-order lazily, so a step pays only for the moves it tests.
+so a step costs O(blanket + improving set), not O(n).  First-improvement
+ascent calls `_delta` directly, one move at a time: it keeps each variable's
+permitted moves, rebuilds only the moved variable's list, and draws its
+random scan order lazily, so a step pays only for the moves it tests.
 
 The verifiers and the oracle also need `_fitness(x)`, the unchecked
 evaluation of an assignment they have validated, and `_reference_delta(x, k,

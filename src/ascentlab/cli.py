@@ -41,9 +41,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_STEP_LIMIT = 3
 
-# Older scripted names for two of the checks.
-_CHECK_ALIASES = {"prop11": "ordered-length", "theorem8": "simulation"}
-
 # Every line break `str.splitlines` knows, escaped, so that an error message
 # quoting a label or a path from the input stays on one line.
 _ONE_LINE = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
@@ -231,9 +228,9 @@ def _parse_caps(raw: list[str], check: str) -> dict[str, int]:
 
 
 def _cmd_verify(args) -> int:
-    check = _CHECK_ALIASES.get(args.check, args.check)
+    check = args.check
     if check != "all" and check not in CHECK_NAMES:
-        raise BuildError(f"unknown check {args.check!r}; known: {CHECK_NAMES} or 'all'")
+        raise BuildError(f"unknown check {check!r}; known: {CHECK_NAMES} or 'all'")
     caps = _parse_caps(args.cap, check)
     names = CHECK_NAMES if check == "all" else (check,)
     all_ok = True

@@ -48,7 +48,6 @@ from .model import (
     VcspInstance,
     _strides,
     check_assignment_against,
-    neighbors_of,
 )
 
 # The two alternating chain tables.  CHAIN_32 is indexed (3-state row,
@@ -350,16 +349,15 @@ class ExpandedLandscape:
     Each base completion is evaluated once per landscape: `_completions`
     keeps a dict from each base assignment met so far to its base fitness.
     The dict grows to at most the base assignment space, which the landscape
-    only meets at small n.  `_fitness`, `_padding_defect` and
-    `_reference_delta` do not check their assignment; its completions, valid
-    when it is, are evaluated by the base's `_fitness`.
+    only meets at small n.  `_fitness` and `_padding_defect` do not check
+    their assignment; its completions, valid when it is, are evaluated by the
+    base's `_fitness`.
     """
 
     def __init__(self, base: VcspInstance):
         self.base = base
         self.doms = tuple(map(ExpandedDomain.of, base.domains))
         n = base.n_vars
-        self.n_vars = n
         self.scale = 2 * n + 1
         self.domains = tuple(d.spec for d in self.doms)
         self._sizes = tuple(d.size for d in self.domains)
@@ -435,28 +433,6 @@ class ExpandedLandscape:
         if not broken:
             return None
         return {"assignment": list(x), "intermediates": len(inter), "got": got, rule: bound}
-
-    def var_neighbors(self, k: int) -> tuple[int, ...]:
-        """Every other variable: the padded fitness reads the whole base
-        instance, so no smaller blanket exists.  Each variable's memo key
-        then covers the whole assignment, so the engines' memo has n times
-        the product of the sizes as keys: a list up to n = 7 on `2by3`, a
-        sparse dict beyond; either way no entry is reused."""
-        return tuple(j for j in range(self.n_vars) if j != k)
-
-    def _delta(self, x: Sequence[int], k: int, s: int, v: int) -> int:
-        return self._reference_delta(x, k, v)
-
-    def _reference_delta(self, x: Sequence[int], k: int, t: int) -> int:
-        """The full fitness difference of moving variable k to state t: the
-        padded fitness reads the whole base, so it has no smaller scope."""
-        y = list(x)
-        y[k] = t
-        return self._fitness(y) - self._fitness(x)
-
-    def neighbors(self, x: Sequence[int]) -> list[tuple[int, int]]:
-        self.check_assignment(x)
-        return neighbors_of(self.domains, x)
 
 
 def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentTrace:
@@ -619,14 +595,9 @@ class BooleanCodec:
             bits.extend(c.encode(sid))
         return tuple(bits)
 
-    def decode(self, bits: Sequence[int]) -> list[tuple[int | None, tuple[int, ...]]]:
-        """Per collection: (state id or None for junk, raw code)."""
-        return [
-            (c.decode(code), code) for c, code in zip(self.collections, self.split(bits))
-        ]
-
     def decode_states(self, bits: Sequence[int]) -> list[int | None]:
-        return [sid for sid, _ in self.decode(bits)]
+        """Per collection: its state id, or None for junk."""
+        return [c.decode(code) for c, code in zip(self.collections, self.split(bits))]
 
     def decode_walk(self, trace: AscentTrace) -> list[list[int | None]]:
         """`decode_states` of every assignment a recorded walk visits, start
@@ -670,7 +641,8 @@ class BooleanCodec:
 def decode_assignment(codec: BooleanCodec, bits: Sequence[int]) -> list[tuple[str, str]]:
     """Human-readable decode: per collection (state label or 'junk', code string)."""
     out = []
-    for coll, (sid, code) in zip(codec.collections, codec.decode(bits)):
+    for coll, code in zip(codec.collections, codec.split(bits)):
+        sid = coll.decode(code)
         label = coll.state_labels[sid] if sid is not None else "junk"
         out.append((label, "".join(map(str, code))))
     return out

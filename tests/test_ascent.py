@@ -30,7 +30,6 @@ from ascentlab import (
     f_max,
     first_improvement_ascent,
     ordered_ascent,
-    simulate_ascent,
     steepest_ascent,
     trace_to_csv,
     trace_to_json,
@@ -41,7 +40,6 @@ from ascentlab import (
 from ascentlab import ascent
 from ascentlab.ascent import StepRecord, _Blankets, _Sparse
 from ascentlab.verification import padding_violation
-from references import traces_equivalent
 from relabelling import relabel
 
 A, B, C, D = 0, 1, 2, 3
@@ -72,34 +70,6 @@ def test_steepest_on_expanded_instance_n2():
     tr = steepest_ascent(build_3by5(2), (A, A))
     assert tr.length == 10 == 2 * f_max(2)
     assert tr.terminal and tr.tie_steps == 0
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_engines_on_the_expanded_landscape(n):
-    # ExpandedLandscape's blanket is every other variable, so the engines'
-    # memo never hits and steepest rescans every variable after each move.
-    base = build_2by3(n)
-    landscape = ExpandedLandscape(base)
-    start = canonical_start("2by3", n)
-    steep = steepest_ascent(landscape, start)
-    assert steep.length == 2 * f_max(n) and steep.tie_steps == 0
-    assert traces_equivalent(steep, simulate_ascent(ordered_ascent(base, start), landscape))
-    oracle = exhaustive_steepest_oracle(landscape, start)
-    assert traces_equivalent(steep, oracle) and oracle.tie_steps == 0
-
-
-@pytest.mark.parametrize("n,length", [(2, 10), (3, 20), (4, 44), (5, 70)])
-def test_ordered_on_the_expanded_landscape(n, length):
-    # Every other variable is in each blanket, so a move record's key
-    # increments span the whole assignment.
-    landscape = ExpandedLandscape(build_2by3(n))
-    full = ordered_ascent(landscape, (A,) * n)
-    summary = ordered_ascent(landscape, (A,) * n, record_steps=False)
-    assert full.length == length and full.terminal
-    assert verify_ordered(landscape, full) is None
-    assert [getattr(summary, f) for f in SUMMARY_FIELDS] == [
-        getattr(full, f) for f in SUMMARY_FIELDS
-    ]
 
 
 class _CountingDeltas:
@@ -158,7 +128,6 @@ MEMO_CASES = [
     for family in ("2by3", "3by5", "bool-pw4")
     for n in range(2, 7)
 ] + [
-    pytest.param(lambda: (ExpandedLandscape(build_2by3(3)), (A, A, A)), id="expanded-2by3-3"),
     pytest.param(lambda: _random_vcsp(17), id="random-vcsp"),
 ]
 

@@ -75,12 +75,3 @@ def test_steepest_is_tie_free_and_doubled(n):
     assert eng.length == 2 * f_max(n)
     assert eng.tie_steps == 0 and eng.terminal
 
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_engine_on_the_formula_landscape_matches_the_instance(n):
-    # The same engine run directly over the padded-fitness oracle must walk
-    # the same path as over the constraint implementation.
-    landscape = ExpandedLandscape(build_2by3(n))
-    via_formulas = steepest_ascent(landscape, (A,) * n)
-    via_constraints = steepest_ascent(build_3by5(n), (A,) * n)
-    assert traces_equivalent(via_formulas, via_constraints)

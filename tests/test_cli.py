@@ -502,8 +502,11 @@ def test_verify_bare_cap_needs_a_check_with_that_cap(capsys, check):
 
 
 def test_verify_legacy_check_names(capsys):
-    code, out, _ = run(capsys, "verify", "--check", "prop11", "--cap", "4")
-    assert code == 0 and json.loads(out.strip())["name"] == "ordered-length"
+    # Once names of ordered-length and simulation; no alias maps them.
+    for name in ("prop11", "theorem8"):
+        code, out, err = run(capsys, "verify", "--check", name, "--cap", "4")
+        _assert_usage_error(code, out, err)
+        assert err.startswith(f"error: unknown check {name!r}")
 
 
 def test_verify_unknown_check(capsys):

@@ -81,12 +81,16 @@ def test_fitness_empty_sum():
 
 
 def test_fitness_rejects_invalid_assignments():
-    # The checked entry points of both landscapes; only `_fitness` skips the check.
+    # The checked entry points of both landscapes; only `_fitness` skips the
+    # check.  `neighbors` is the instance's alone.
     inst = build_2by3(2)
     expanded = ExpandedLandscape(inst)
-    for landscape in (inst, expanded):
-        odd, even = (d.size for d in landscape.domains)
-        for entry in (landscape.fitness, landscape.neighbors):
+    for domains, entries in (
+        (inst.domains, (inst.fitness, inst.neighbors)),
+        (expanded.domains, (expanded.fitness,)),
+    ):
+        odd, even = (d.size for d in domains)
+        for entry in entries:
             with pytest.raises(InvalidAssignmentError, match="assignment has length 1, expected 2"):
                 entry((A,))
             with pytest.raises(
