@@ -10,7 +10,7 @@ import time
 
 from ascentlab import build_2by3, canonical_start, f_max, ordered_ascent
 
-print("chain length  ->  ascent steps (= exact fitness maximum)")
+print("chain length  ->  ascent steps (= f_max(n))")
 for n in range(2, 21, 2):
     trace = ordered_ascent(build_2by3(n), canonical_start("2by3", n))
     assert trace.length == f_max(n) and trace.terminal

@@ -9,8 +9,10 @@ makes the arity-5 split work.
 """
 
 from ascentlab import rank1_split
+from ascentlab.constructions import ODD_MIN
 
-profile = ((0, 1, 2), (2, 1, 0), (0, 1, 2))
+# Rows are the left flank's states A, B, C; columns the right flank's.
+profile = ODD_MIN
 print("minimisation profile seen by the flanks:")
 for row in profile:
     print("   ", row)

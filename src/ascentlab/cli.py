@@ -13,13 +13,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .ascent import (
-    first_improvement_ascent,
-    ordered_ascent,
-    steepest_ascent,
-    trace_to_csv,
-    trace_to_json,
-)
+from .ascent import ordered_ascent, steepest_ascent, trace_to_csv, trace_to_json
 from .constructions import (
     FAMILIES,
     build_boolean_pw4,
@@ -40,6 +34,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_STEP_LIMIT = 3
+
+# The walks `ascend` runs, by `--engine`.
+_ENGINES = {"steepest": steepest_ascent, "ordered": ordered_ascent}
 
 # Every line break `str.splitlines` knows, escaped, so that an error message
 # quoting a label or a path from the input stays on one line.
@@ -63,20 +60,17 @@ def _build_parser() -> argparse.ArgumentParser:
     asc.add_argument("--instance", help="instance JSON produced by gen")
     asc.add_argument("--family", choices=FAMILIES, help="build in memory instead")
     asc.add_argument("--n", type=int)
-    asc.add_argument(
-        "--engine", default="steepest", choices=("steepest", "ordered", "first")
-    )
+    asc.add_argument("--engine", default="steepest", choices=tuple(_ENGINES))
     asc.add_argument(
         "--start",
         default="canonical",
-        help="'canonical' or a JSON file with a list of state ids",
+        help="'canonical' or a JSON file with a list of state ids or labels",
     )
     asc.add_argument("--step-limit", type=int, default=None)
     asc.add_argument(
         "--trace",
         help="write the trace here (.csv or .json); without it no step is recorded",
     )
-    asc.add_argument("--seed", type=int, default=0, help="seed for the 'first' engine")
 
     ver = sub.add_parser("verify", help="run the structural checks")
     ver.add_argument(
@@ -88,15 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         help="size cap, either N (for the selected check) or name=N; repeatable",
     )
-
-    ben = sub.add_parser("bench", help="ascent-length scaling data as CSV")
-    ben.add_argument("--family", required=True, choices=FAMILIES)
-    ben.add_argument("--n-list", default="", help="comma-separated sizes, e.g. 2,4,8")
-    ben.add_argument(
-        "--engine", default="ordered", choices=("steepest", "ordered", "first")
-    )
-    ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--out", help="write CSV here instead of stdout")
     return parser
 
 
@@ -136,10 +121,6 @@ def _load_start(args, instance) -> tuple[int, ...]:
             )
         return canonical_start(instance.family, instance.base_n)
     data = read_json(args.start)
-    if isinstance(data, dict):
-        if "values" not in data:
-            raise BuildError("start file object has no 'values'")
-        data = data["values"]
     if not isinstance(data, list):
         raise BuildError("start file must hold a list of state ids or labels")
     if len(data) != instance.n_vars:
@@ -158,34 +139,27 @@ def _load_start(args, instance) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _run_engine(args, instance, start, step_limit: int | None, record: bool):
-    """One walk of the engine named by `--engine` (`--seed` seeds `first`)."""
-    if args.engine == "first":
-        return first_improvement_ascent(
-            instance, start, step_limit, seed=args.seed, record_steps=record
-        )
-    engine = steepest_ascent if args.engine == "steepest" else ordered_ascent
-    return engine(instance, start, step_limit, record_steps=record)
+def _run_engine(args, instance, start, record: bool):
+    """One walk of the engine named by `--engine`."""
+    return _ENGINES[args.engine](instance, start, args.step_limit, record_steps=record)
 
 
 def _cmd_ascend(args) -> int:
     if bool(args.instance) == bool(args.family):
         raise BuildError("give exactly one of --instance or --family/--n")
-    if args.instance:
-        instance = load_instance(args.instance)
-    else:
-        if args.n is None:
-            raise BuildError("--family needs --n")
-        instance = build_family(args.family, args.n)
-
+    if (args.n is None) == bool(args.family):
+        raise BuildError("give --n with --family and only with it")
     trace_path = args.trace and _output(args.trace)
+    if trace_path and trace_path.suffix.lower() not in (".csv", ".json"):
+        raise BuildError(f"--trace {args.trace!r} must end in .csv or .json")
+    instance = load_instance(args.instance) if args.instance else build_family(args.family, args.n)
     start = _load_start(args, instance)
     t0 = time.perf_counter()
-    trace = _run_engine(args, instance, start, args.step_limit, bool(trace_path))
+    trace = _run_engine(args, instance, start, bool(trace_path))
     seconds = time.perf_counter() - t0
 
     if trace_path:
-        if trace_path.suffix == ".json":
+        if trace_path.suffix.lower() == ".json":
             trace_path.write_text(json.dumps(trace_to_json(trace, instance)), encoding="utf-8")
         else:
             with trace_path.open("w", encoding="utf-8") as fh:
@@ -241,28 +215,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_bench(args) -> int:
-    rows = ["family,n,steps,seconds,steps_per_sec"]
-    sizes = [int(v) for v in args.n_list.split(",") if v.strip()]
-    out = args.out and _output(args.out)
-    for n in sizes:
-        instance = build_family(args.family, n)
-        start = canonical_start(args.family, n)
-        t0 = time.perf_counter()
-        trace = _run_engine(args, instance, start, None, False)
-        seconds = time.perf_counter() - t0
-        rows.append(
-            f"{args.family},{n},{trace.length},{seconds:.6f},"
-            f"{trace.length / max(seconds, 1e-9):.1f}"
-        )
-    text = "\n".join(rows) + "\n"
-    if out:
-        out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -273,8 +225,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_ascend(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
     except (ModelError, OSError, ValueError) as exc:
         print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_USAGE

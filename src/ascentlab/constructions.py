@@ -55,6 +55,15 @@ from .model import (
 CHAIN_32 = ((0, 2), (1, 1), (2, 0))
 CHAIN_23 = ((0, 1, 0), (1, 0, 1))
 
+# The odd-position min profile: min over h of (m+1)·CHAIN_32[u][h] +
+# (2m+3)·CHAIN_23[h][v], divided by m+1, for flanking states u and v.  It is
+# the same at every chain weight m (tests/test_tables.py), so m = 1 gives it.
+ODD_MIN = tuple(
+    tuple(min(2 * CHAIN_32[u][h] + 5 * CHAIN_23[h][v] for h in (0, 1)) // 2 for v in range(3))
+    for u in range(3)
+)
+
+
 def even_min_ab(m: int) -> tuple[tuple[int, int], ...]:
     """Min profile for the A<->B intermediate of an even position, weight m."""
     return ((0, 2 * m + 1), (m, m + 1))
@@ -68,9 +77,7 @@ def even_min_bc(m: int) -> tuple[tuple[int, int], ...]:
 # Rank-1 split used by the Boolean dual coding: for each of the two 2-bit
 # codes that stand for the odd intermediate, the left factor keys on the
 # left flank and the right factor keys on the right flank.  Their sum per
-# code, maximised over the two codes, reproduces entrywise the unit-weight
-# min profile ((0, 2, 0), (1, 1, 1), (2, 0, 2)) over the middle 2-state
-# variable of a (3-state, 2-state, 3-state) window.
+# code, maximised over the two codes, reproduces ODD_MIN entrywise.
 DUAL_COL = {(0, 0): (0, 1, 2), (1, 1): (2, 1, 0)}
 DUAL_ROW = {(0, 0): (0, -2, 0), (1, 1): (-2, 0, -2)}
 

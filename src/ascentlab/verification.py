@@ -25,6 +25,7 @@ from .ascent import (
     verify_steepest,
 )
 from .constructions import (
+    ODD_MIN,
     BooleanCodec,
     ExpandedLandscape,
     boolean_pw4_hypergraph,
@@ -157,7 +158,7 @@ def _fmax_recurrence_defect(n_max: int) -> str | None:
         h = n // 2
         expect = 2 * f_max(n) + (7 * h + 5 if n % 2 == 0 else 7 * h + 8)
         if f_max(n + 2) != expect:
-            return f"f_max({n + 2}) = {f_max(n + 2)} but doubling rule gives {expect}"
+            return f"f_max({n + 2}) = {f_max(n + 2)} but doubling f_max({n}) gives {expect}"
     return None
 
 
@@ -420,19 +421,15 @@ def rank1_split(matrix: Sequence[Sequence[int]]) -> Rank1Split:
     return Rank1Split(True, column=col, row=row)
 
 
-# The minimisation profile seen from the two flanking domains of an odd
-# position, which is exactly what a two-piece split would need to reproduce.
-SPLIT_TARGET = ((0, 1, 2), (2, 1, 0), (0, 1, 2))
-
-
 def check_rank1() -> CheckReport:
-    """The odd-position minimisation profile admits no column + row split,
-    while genuinely additive matrices do."""
+    """The odd-position min profile, `ODD_MIN` transposed, admits no
+    column + row split, while genuinely additive matrices do."""
 
     def body():
-        r = rank1_split(SPLIT_TARGET)
+        target = tuple(zip(*ODD_MIN))
+        r = rank1_split(target)
         if r.feasible:
-            return False, "split target unexpectedly feasible", {"matrix": SPLIT_TARGET}
+            return False, "split target unexpectedly feasible", {"matrix": target}
         if r.minor != ((0, 0), (1, 1)) or r.lhs != 1 or r.rhs != 3:
             return False, "unexpected violating minor", {
                 "minor": r.minor,

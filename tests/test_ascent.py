@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import io
 import json
@@ -18,6 +19,7 @@ import pytest
 
 import ascentlab
 from ascentlab import (
+    AscentTrace,
     DomainSpec,
     ExpandedLandscape,
     ValuedConstraint,
@@ -332,6 +334,32 @@ def test_verify_ascent_catches_tampering():
 
     not_terminal = with_steps(tr.steps[:1])
     assert verify_ascent(inst, not_terminal) is not None
+
+
+VERIFIERS = [verify_ascent, verify_steepest, verify_ordered]
+
+
+@pytest.mark.parametrize("verifier", VERIFIERS)
+def test_verifiers_refuse_a_step_on_variable_n_vars(verifier):
+    inst = build_2by3(3)
+    tr = ordered_ascent(inst, (A, A, A))
+    first, second, *rest = tr.steps
+    steps = (first, second._replace(var=inst.n_vars), *rest)
+    bad = verifier(inst, dataclasses.replace(tr, steps=steps))
+    assert (bad.step, bad.reason) == (1, "variable 3 out of range")
+
+
+@pytest.mark.parametrize("verifier", VERIFIERS)
+def test_verifiers_refuse_a_step_that_keeps_the_fitness(verifier):
+    # With no constraints every state has fitness 0, so no move raises it.
+    bit = DomainSpec(("A", "B"), frozenset({(0, 1)}))
+    inst = VcspInstance((bit, bit), ())
+    tr = AscentTrace(
+        start=(A, A), steps=(StepRecord(1, A, B, 0),), length=1, terminal=False,
+        policy="steepest", tie_steps=0, ambiguous_steps=0, final=(A, B), final_fitness=0,
+    )
+    bad = verifier(inst, tr)
+    assert (bad.step, bad.reason) == (0, "fitness did not strictly increase (0 -> 0)")
 
 
 def test_verify_steepest_names_the_first_tampered_step():

@@ -108,11 +108,65 @@ def test_ascend_start_file_and_json_trace(tmp_path, capsys):
     assert json.loads(trace.read_text())["terminal"] is True
 
 
-def test_ascend_flag_conflicts(capsys):
+def test_ascend_flag_conflicts(capsys, monkeypatch):
+    import ascentlab.cli as cli
+
     code, _, err = run(capsys, "ascend", "--family", "2by3")
     assert code == 2 and "--n" in err
     code, _, err = run(capsys, "ascend")
     assert code == 2
+    # An instance file sets its own n: `--n` with it is refused before loading.
+    monkeypatch.setattr(cli, "load_instance", _must_not_run)
+    code, out, err = run(capsys, "ascend", "--instance", "i.json", "--n", "7")
+    _assert_usage_error(code, out, err)
+    assert err == "error: give --n with --family and only with it\n"
+
+
+def test_the_trace_suffix_picks_the_format_in_any_case(tmp_path, capsys):
+    for name, first in (("t.JSON", "{"), ("t.Csv", "step,var,from,to,fitness")):
+        code, _, _ = run(
+            capsys, "ascend", "--family", "2by3", "--n", "2", "--trace", str(tmp_path / name)
+        )
+        assert code == 0 and (tmp_path / name).read_text().startswith(first)
+
+
+@pytest.mark.parametrize("name", ["t.txt", "t", "t.json.gz"])
+def test_a_trace_without_a_csv_or_json_suffix_fails_before_the_work(
+    tmp_path, capsys, monkeypatch, name
+):
+    import ascentlab.cli as cli
+
+    monkeypatch.setattr(cli, "build_family", _must_not_run)
+    trace = tmp_path / name
+    code, out, err = run(capsys, "ascend", "--family", "2by3", "--n", "4", "--trace", str(trace))
+    _assert_usage_error(code, out, err)
+    assert err == f"error: --trace {str(trace)!r} must end in .csv or .json\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,start",
+    [
+        (["bench", "--family", "2by3", "--n-list", "2"], None),
+        (["ascend", "--family", "2by3", "--n", "2", "--engine", "first"], None),
+        (["ascend", "--family", "2by3", "--n", "2", "--seed", "1"], None),
+        (["ascend", "--family", "2by3", "--n", "2", "--start"], {"values": [0, 0]}),
+    ],
+    ids=["bench", "engine-first", "seed", "start-object"],
+)
+def test_removed_commands_and_options_exit_2(tmp_path, capsys, argv, start):
+    # `ascend` runs steepest or ordered from a list start; there is no
+    # second runner, no seeded engine and no object start file.
+    if start is not None:
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps(start))
+        argv = argv + [str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # the parser's own refusal
+        code = stop.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "error: " in err and "Traceback" not in err
 
 
 def test_summary_only_is_not_an_option(capsys):
@@ -123,7 +177,7 @@ def test_summary_only_is_not_an_option(capsys):
     assert "unrecognized arguments: --summary-only" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("engine", ["steepest", "ordered", "first"])
+@pytest.mark.parametrize("engine", ["steepest", "ordered"])
 def test_ascend_prints_the_same_summary_with_and_without_a_trace(tmp_path, capsys, engine):
     argv = ["ascend", "--family", "bool-pw4", "--n", "6", "--engine", engine]
     summaries = []
@@ -150,7 +204,7 @@ def _must_not_run(*args, **kwargs):
         (["ascend", "--family", "2by3", "--n", "4", "--trace"], "_run_engine", "t.json"),
         (["gen", "--family", "2by3", "--n", "4", "--out"], "build_family", "i.json"),
         (["gen", "--family", "bool-pw4", "--n", "4", "--out"], "build_boolean_pw4", "b.json"),
-        (["bench", "--family", "2by3", "--n-list", "2,4", "--out"], "build_family", "b.csv"),
+        (["ascend", "--family", "2by3", "--n", "4", "--trace"], "build_family", "b.csv"),
     ],
 )
 def test_a_missing_output_directory_fails_before_the_work(
@@ -512,31 +566,6 @@ def test_verify_legacy_check_names(capsys):
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--check", "bogus")
     assert code == 2 and "unknown check" in err
-
-
-def test_bench_csv(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--family", "2by3", "--n-list", "2,4,6", "--engine", "ordered"
-    )
-    lines = out.strip().splitlines()
-    assert code == 0
-    assert lines[0] == "family,n,steps,seconds,steps_per_sec"
-    steps = [int(line.split(",")[2]) for line in lines[1:]]
-    assert steps == [f_max(n) for n in (2, 4, 6)]
-
-
-def test_bench_empty_list_is_header_only(capsys):
-    code, out, _ = run(capsys, "bench", "--family", "2by3", "--n-list", "")
-    assert code == 0 and out == "family,n,steps,seconds,steps_per_sec\n"
-
-
-def test_bench_boolean_doubles(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--family", "bool-pw4", "--n-list", "2,4", "--engine", "steepest"
-    )
-    lines = out.strip().splitlines()
-    steps = [int(line.split(",")[2]) for line in lines[1:]]
-    assert code == 0 and steps == [2 * f_max(2), 2 * f_max(4)]
 
 
 def test_ascend_boolean_instance_from_file(tmp_path, capsys):

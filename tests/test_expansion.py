@@ -152,6 +152,10 @@ def test_simulation_refuses_a_malformed_trace():
     off_range = (first._replace(var=-3), second, *rest)
     with pytest.raises(BuildError, match=r"step 0 \(variable -3, 0 -> 1\) does not start"):
         simulate_ascent(dataclasses.replace(tr, steps=off_range), landscape)
+    # Nor may one past the last: step 1 on variable n_vars = 3.
+    past_end = (first, second._replace(var=3), *rest)
+    with pytest.raises(BuildError, match=r"step 1 \(variable 3, 0 -> 1\) does not start"):
+        simulate_ascent(dataclasses.replace(tr, steps=past_end), landscape)
     # A step that stays put, and A -> C, which {A, B, C} at an even variable
     # does not permit, are not moves.
     for bad, text in ((StepRecord(0, A, A, 1), "0 -> 0"), (first._replace(dst=C), "0 -> 2")):

@@ -10,16 +10,13 @@ from ascentlab.constructions import (
     CHAIN_32,
     DUAL_COL,
     DUAL_ROW,
+    ODD_MIN,
     even_min_ab,
     even_min_bc,
 )
 from references import brute_force_extremes
 
 WEIGHT_SAMPLE = [weight_m(k) for k in range(1, 6)]  # 1, 5, 13, 29, 61
-
-# Unit-weight profile of min over the middle 2-state variable of a
-# (3-state, 2-state, 3-state) window; rows/columns are the flanking states.
-ODD_MIN = ((0, 2, 0), (1, 1, 1), (2, 0, 2))
 
 
 def test_weight_values_and_recurrence():
@@ -76,11 +73,14 @@ def test_fitness_range_is_exact():
 def test_chain_tables_frozen():
     assert CHAIN_32 == ((0, 2), (1, 1), (2, 0))
     assert CHAIN_23 == ((0, 1, 0), (1, 0, 1))
+    # The unit-weight min profile that `constructions` derives from the two tables.
+    assert ODD_MIN == ((0, 2, 0), (1, 1, 1), (2, 0, 2))
 
 
 @pytest.mark.parametrize("m", WEIGHT_SAMPLE)
 def test_odd_min_profile_is_the_exact_minimum(m):
-    # Left table weight m+1, right table weight 2m+3 (the next chain weight).
+    # Left table weight m+1, right table weight 2m+3 (the next chain weight):
+    # ODD_MIN, computed at m = 1, scales to every chain weight.
     for u in range(3):
         for v in range(3):
             options = [

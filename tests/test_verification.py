@@ -21,9 +21,10 @@ from ascentlab import (
     steepest_ascent,
 )
 from ascentlab import constructions, verification
-from ascentlab.constructions import f_max
+from ascentlab.constructions import ODD_MIN, f_max
 from ascentlab.verification import (
     CHECK_NAMES,
+    CheckReport,
     DEFAULT_CAPS,
     check_boolean,
     check_ordered_length,
@@ -129,7 +130,8 @@ def test_unknown_check_is_rejected():
 
 
 def test_split_target_is_infeasible_with_the_expected_minor():
-    r = rank1_split(((0, 1, 2), (2, 1, 0), (0, 1, 2)))
+    # check_rank1's target: the odd min profile seen from its flanks.
+    r = rank1_split(tuple(zip(*ODD_MIN)))
     assert not r.feasible
     assert r.minor == ((0, 0), (1, 1))
     assert (r.lhs, r.rhs) == (0 + 1, 1 + 2)
@@ -438,7 +440,7 @@ def test_a_closed_form_off_the_doubling_rule_fails_the_length_check(monkeypatch)
     monkeypatch.setattr(verification, "f_max", lambda n: real(n) + (n == 6))
     report = check_ordered_length(8)
     assert not report.passed
-    assert report.details == "f_max(6) = 64 but doubling rule gives 63"
+    assert report.details == "f_max(6) = 64 but doubling f_max(4) gives 63"
     assert report.counterexample == {"n_max": 8}
 
 
@@ -533,6 +535,78 @@ def test_the_pathwidth_check_fills_no_value_tensor(monkeypatch):
     monkeypatch.setattr(constructions, "_assemble", refuse)
     monkeypatch.setattr(VcspInstance, "validate", refuse)
     assert verification.check_pathwidth(DEFAULT_CAPS["pathwidth"]).passed
+
+
+# -- every loop of the checks runs from n = 2 to its cap ---------------------------------
+
+
+def _bump(label):
+    """A fault for a builder's call: bump `label` in the instance it builds."""
+
+    def plant(real, n):
+        built = real(n)
+        if isinstance(built, tuple):  # build_boolean_pw4's (instance, codec, ...)
+            return (with_bumped_constraint(built[0], label),) + built[1:]
+        return with_bumped_constraint(built, label)
+
+    return plant
+
+
+def _misrecord_step_0(real, inst, trace):
+    first, *rest = trace.steps
+    steps = (first._replace(fitness_after=first.fitness_after + 1), *rest)
+    return real(inst, dataclasses.replace(trace, steps=steps))
+
+
+def _drop_first_bag(real, n):
+    n_bits, edges, decomp = real(n)
+    return n_bits, edges, PathDecomposition(decomp.bags[1:])
+
+
+# Each loop: the check run with only that loop's cap (the others below 2), the
+# name in `verification` whose calls show the n visited, by their first
+# argument (n, or an instance of n), and a fault the call plants at one n.
+LOOPS = {
+    "ordered-length": (check_ordered_length, "build_2by3", _bump("M1@1-2")),
+    "simulation": (lambda cap: check_simulation(cap, 1), "build_3by5", _bump("P@x1")),
+    "simulation-verify": (
+        lambda cap: check_simulation(cap, cap), "verify_steepest", _misrecord_step_0
+    ),
+    "padding": (check_padding, "build_3by5", _bump("P@x1")),
+    "boolean": (lambda cap: check_boolean(1, cap), "build_boolean_pw4", _bump("U~0@G1")),
+    "boolean-equiv": (lambda cap: check_boolean(cap, 1), "build_boolean_pw4", _bump("U~0@G1")),
+    "pathwidth": (verification.check_pathwidth, "boolean_pw4_hypergraph", _drop_first_bag),
+    "_fmax_recurrence_defect": (
+        verification._fmax_recurrence_defect, "f_max", lambda real, n: real(n) + 1
+    ),
+}
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_each_check_loop_runs_from_n_2_to_its_cap(monkeypatch, loop):
+    run, name, plant = LOOPS[loop]
+    real = getattr(verification, name)
+    seen, faulty = set(), set()
+
+    def counted(first, *rest):
+        n = first if isinstance(first, int) else first.base_n
+        seen.add(n)
+        return plant(real, first, *rest) if n in faulty else real(first, *rest)
+
+    def failure(cap):
+        """The failure text of the run, or None; a check names n as "n=<n>: "
+        and the recurrence names each f_max it compares."""
+        out = run(cap)
+        return out if not isinstance(out, CheckReport) else None if out.passed else out.details
+
+    monkeypatch.setattr(verification, name, counted)
+    names = "f_max({})" if name == "f_max" else "n={}: "
+    cap = 5
+    assert failure(cap) is None and sorted(seen) == list(range(2, cap + 1))
+    for n in (2, cap):
+        faulty = {n}
+        text = failure(cap)
+        assert text is not None and names.format(n) in text, text
 
 
 def test_helpers_reject_unknown_labels():
