@@ -38,12 +38,15 @@ random scan order lazily, so a step pays only for the moves it tests.
 The verifiers and the oracle also need `_fitness(x)`, the unchecked
 evaluation of an assignment they have validated, and `_reference_delta(x, k,
 t)`, and share neither `_delta` nor the memo with the engines.  They check a
-trace's start and moves, then evaluate every visited state from scratch.  A
-step's neighbours are scored as that value plus `_reference_delta`, which
-reads only the raw tensors of the constraints on the moved variable through
-its own index; the terminal state's moves are scored the same way.  So a
-bug in `_delta` or in the memo cannot vouch for itself, and checking a step
-costs its out-edges, not a full evaluation per neighbour.
+trace's start and moves, then evaluate every visited state from scratch.
+Every scan of a state's moves is `_improving_move(landscape, x, above)`, the
+first permitted move, ascending by (k, t), whose `_reference_delta` exceeds
+`above`: 0 at the terminal state and at each ordered step (whose first
+improving move must not be on a lower variable), the step's gain at each
+steepest step.  `_reference_delta` reads only the raw tensors of the
+constraints on the moved variable through its own index.  So a bug in
+`_delta` or in the memo cannot vouch for itself, and checking a step costs
+its out-edges, not a full evaluation per neighbour.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import IO, NamedTuple, Sequence
 
-from .model import InvalidAssignmentError, neighbors_of
+from .model import InvalidAssignmentError
 
 
 class StepRecord(NamedTuple):
@@ -409,7 +412,23 @@ class AscentViolation:
     witness: tuple | None = None
 
 
-def _replayed_states(landscape, trace: AscentTrace) -> list[tuple[int, ...]] | AscentViolation:
+def _improving_move(landscape, x: tuple[int, ...], above: int = 0) -> tuple[int, int, int] | None:
+    """The first permitted move of x, ascending by (k, t), whose
+    `_reference_delta` exceeds `above`, as `(k, t, change)`, or None."""
+    score = landscape._reference_delta
+    for k, dom in enumerate(landscape.domains):
+        for t in dom.adjacent(x[k]):
+            d = score(x, k, t)
+            if d > above:
+                return k, t, d
+    return None
+
+
+def _checked_walk(
+    landscape, trace: AscentTrace
+) -> tuple[list[tuple[int, ...]], list[int]] | AscentViolation:
+    """`verify_ascent`'s checks; when they pass, the replayed states and
+    their fitness values, each recomputed from scratch."""
     if trace.steps is None:
         return AscentViolation(-1, "trace has no recorded steps")
     try:
@@ -431,30 +450,9 @@ def _replayed_states(landscape, trace: AscentTrace) -> list[tuple[int, ...]] | A
             )
         x[rec.var] = rec.dst
         states.append(tuple(x))
-    return states
-
-
-def _improving_move(landscape, x: tuple[int, ...]) -> tuple[int, int] | None:
-    """The first permitted move (k, t) of x, ascending, that `_reference_delta`
-    scores as improving, or None at a local solution."""
-    score = landscape._reference_delta
-    for k, t in neighbors_of(landscape.domains, x):
-        if score(x, k, t) > 0:
-            return k, t
-    return None
-
-
-def _checked_walk(
-    landscape, trace: AscentTrace
-) -> tuple[list[tuple[int, ...]], list[int]] | AscentViolation:
-    """`verify_ascent`'s checks; when they pass, the replayed states and
-    their fitness values, each recomputed from scratch."""
-    states = _replayed_states(landscape, trace)
-    if isinstance(states, AscentViolation):
-        return states
     # The replay checked the start and every move, so each state is valid.
     fits = [landscape._fitness(states[0])]
-    for i, rec in enumerate(trace.steps or ()):
+    for i, rec in enumerate(trace.steps):
         f = landscape._fitness(states[i + 1])
         if f != rec.fitness_after:
             return AscentViolation(
@@ -469,7 +467,7 @@ def _checked_walk(
         move = _improving_move(landscape, states[-1])
         if move is not None:
             return AscentViolation(
-                len(states) - 1, "terminal trace does not end at a local solution", witness=move
+                len(states) - 1, "terminal trace does not end at a local solution", witness=move[:2]
             )
     return states, fits
 
@@ -488,28 +486,24 @@ def verify_steepest(landscape, trace: AscentTrace) -> AscentViolation | None:
     """Every step must reach the maximum fitness over the full neighborhood.
 
     The visited states' fitness values are the ones `verify_ascent`'s checks
-    recomputed from scratch.  Each neighbour of a state is scored as the
-    state's value plus `_reference_delta`, the change of the constraints on
-    the moved variable read from their raw tensors.
+    recomputed from scratch.  A neighbour beats the chosen state when its
+    `_reference_delta`, the change of the constraints on the moved variable
+    read from their raw tensors, exceeds the step's gain.
     """
     walk = _checked_walk(landscape, trace)
     if isinstance(walk, AscentViolation):
         return walk
     states, fits = walk
-    score = landscape._reference_delta
     for i in range(len(states) - 1):
-        x = states[i]
-        # A neighbour beats the chosen state when its change exceeds this.
-        gain = fits[i + 1] - fits[i]
-        for k, t in neighbors_of(landscape.domains, x):
-            d = score(x, k, t)
-            if d > gain:
-                return AscentViolation(
-                    i,
-                    f"neighbor (var {k} -> state {t}) has fitness {fits[i] + d} "
-                    f"> chosen {fits[i + 1]}",
-                    witness=(k, t),
-                )
+        move = _improving_move(landscape, states[i], fits[i + 1] - fits[i])
+        if move is not None:
+            k, t, d = move
+            return AscentViolation(
+                i,
+                f"neighbor (var {k} -> state {t}) has fitness {fits[i] + d} "
+                f"> chosen {fits[i + 1]}",
+                witness=(k, t),
+            )
     return None
 
 
@@ -518,26 +512,23 @@ def verify_ordered(landscape, trace: AscentTrace) -> AscentViolation | None:
     improving move: ≺ is the variable-id order, as in `ordered_ascent`, and a
     walk in another order is checked on `relabel(instance, order)`.
 
-    The visited states are checked as in `verify_ascent`; each move of a
-    lower variable is scored with `_reference_delta`, the change of the
-    constraints on that variable read from their raw tensors.
+    The visited states are checked as in `verify_ascent`; a state's first
+    improving move, scored with `_reference_delta` from the raw tensors, must
+    not be on a variable below the step's.
     """
     walk = _checked_walk(landscape, trace)
     if isinstance(walk, AscentViolation):
         return walk
     states = walk[0]
-    score = landscape._reference_delta
-    domains = landscape.domains
-    for i, rec in enumerate(trace.steps or ()):
-        x = states[i]
-        for j in range(rec.var):
-            for u in domains[j].adjacent(x[j]):
-                if score(x, j, u) > 0:
-                    return AscentViolation(
-                        i,
-                        f"earlier variable {j} had an improving move to state {u}",
-                        witness=(j, u),
-                    )
+    for i, rec in enumerate(trace.steps):
+        move = _improving_move(landscape, states[i])
+        if move is not None and move[0] < rec.var:
+            j, u, _ = move
+            return AscentViolation(
+                i,
+                f"earlier variable {j} had an improving move to state {u}",
+                witness=(j, u),
+            )
     return None
 
 

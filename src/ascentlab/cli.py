@@ -43,8 +43,16 @@ _ENGINES = {"steepest": steepest_ascent, "ordered": ordered_ascent}
 _ONE_LINE = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses malformed arguments with `BuildError`, which `main` reports as
+    one `error:` line; the subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise BuildError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ascentlab",
         description="Exact-integer VCSP landscapes with provably long ascents.",
     )
@@ -217,8 +225,8 @@ def _cmd_verify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "ascend":

@@ -372,11 +372,6 @@ class VcspInstance:
             d += values[base + v * stk] - values[base + s * stk]
         return d
 
-    def neighbors(self, x: Sequence[int]) -> list[tuple[int, int]]:
-        """Permitted single-variable moves (k, v), ascending by (k, v)."""
-        self.check_assignment(x)
-        return neighbors_of(self.domains, x)
-
     def is_local_solution(self, x: Sequence[int]) -> bool:
         """True iff no permitted move strictly increases fitness."""
         self.check_assignment(x)

@@ -421,9 +421,9 @@ def test_verifiers_score_the_terminal_state_without_delta(monkeypatch):
 
 class _CountingChecks:
     """Delegates to a landscape and counts the calls of its checked entry
-    points `fitness`, `neighbors` and `check_assignment`."""
+    points `fitness` and `check_assignment`."""
 
-    CHECKED = ("fitness", "neighbors", "check_assignment")
+    CHECKED = ("fitness", "check_assignment")
 
     def __init__(self, inner):
         self.inner = inner
@@ -444,7 +444,7 @@ class _CountingChecks:
 def test_verifiers_validate_each_state_once():
     # The start is checked once and every later state is a checked move
     # away, so the from-scratch evaluations go through the unchecked
-    # `_fitness` and the move lists through `neighbors_of`.
+    # `_fitness` and the moves are read from `domains` unchecked.
     inst = build_3by5(6)
     tr = steepest_ascent(inst, canonical_start("3by5", 6))
     landscape = _CountingChecks(inst)

@@ -147,34 +147,33 @@ def test_a_trace_without_a_csv_or_json_suffix_fails_before_the_work(
 @pytest.mark.parametrize(
     "argv,start",
     [
+        (["bogus"], None),
         (["bench", "--family", "2by3", "--n-list", "2"], None),
         (["ascend", "--family", "2by3", "--n", "2", "--engine", "first"], None),
         (["ascend", "--family", "2by3", "--n", "2", "--seed", "1"], None),
+        (["ascend", "--family", "2by3", "--n", "abc"], None),
         (["ascend", "--family", "2by3", "--n", "2", "--start"], {"values": [0, 0]}),
     ],
-    ids=["bench", "engine-first", "seed", "start-object"],
+    ids=["bogus", "bench", "engine-first", "seed", "n-abc", "start-object"],
 )
 def test_removed_commands_and_options_exit_2(tmp_path, capsys, argv, start):
     # `ascend` runs steepest or ordered from a list start; there is no
-    # second runner, no seeded engine and no object start file.
+    # second runner, no seeded engine and no object start file.  The
+    # parser's own refusals are one `error:` line too, with no usage line.
     if start is not None:
         path = tmp_path / "start.json"
         path.write_text(json.dumps(start))
         argv = argv + [str(path)]
-    try:
-        code = main(argv)
-    except SystemExit as stop:  # the parser's own refusal
-        code = stop.code
-    out, err = capsys.readouterr()
-    assert code == 2 and out == "" and "error: " in err and "Traceback" not in err
+    code, out, err = run(capsys, *argv)
+    _assert_usage_error(code, out, err)
+    assert "Traceback" not in err and "usage:" not in err
 
 
 def test_summary_only_is_not_an_option(capsys):
     # Summary mode is what `ascend` runs unless --trace asks for the steps.
-    with pytest.raises(SystemExit) as stopped:
-        main(["ascend", "--family", "2by3", "--n", "4", "--summary-only"])
-    assert stopped.value.code == 2
-    assert "unrecognized arguments: --summary-only" in capsys.readouterr().err
+    code, out, err = run(capsys, "ascend", "--family", "2by3", "--n", "4", "--summary-only")
+    _assert_usage_error(code, out, err)
+    assert err == "error: unrecognized arguments: --summary-only\n"
 
 
 @pytest.mark.parametrize("engine", ["steepest", "ordered"])
@@ -624,6 +623,9 @@ def test_python_dash_m_runs_the_cli():
 
     done = module("--version")
     assert done.returncode == 0 and done.stdout.strip() == f"ascentlab {ascentlab.__version__}"
+    done = module("ascend", "--help")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: ascentlab ascend")
     done = module("verify", "--check", "nope")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

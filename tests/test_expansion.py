@@ -127,6 +127,7 @@ def test_simulation_doubles_the_trace():
     tr = ordered_ascent(base, (A, A))
     sim = simulate_ascent(tr, ExpandedLandscape(base))
     assert sim.length == 10 and sim.terminal
+    assert sim.policy == "simulated" and sim.tie_steps == sim.ambiguous_steps == 0
     states = list(sim.states())
     assert states[:3] == [(A, A), (2, A), (B, A)]
     assert sim.fitness_values() == [2, 5, 6, 10, 12, 15, 16, 20, 22, 25]

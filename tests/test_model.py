@@ -28,8 +28,15 @@ from ascentlab import (
     load_instance,
     save_instance,
 )
+from ascentlab.model import neighbors_of
 
 A, B, C = 0, 1, 2
+
+
+def moves_of(inst, x):
+    """x's permitted moves (k, v), ascending, once x is checked."""
+    inst.check_assignment(x)
+    return neighbors_of(inst.domains, x)
 
 
 def empty_instance(n=2):
@@ -82,11 +89,11 @@ def test_fitness_empty_sum():
 
 def test_fitness_rejects_invalid_assignments():
     # The checked entry points of both landscapes; only `_fitness` skips the
-    # check.  `neighbors` is the instance's alone.
+    # check.  `is_local_solution` is the instance's alone.
     inst = build_2by3(2)
     expanded = ExpandedLandscape(inst)
     for domains, entries in (
-        (inst.domains, (inst.fitness, inst.neighbors)),
+        (inst.domains, (inst.fitness, inst.is_local_solution)),
         (expanded.domains, (expanded.fitness,)),
     ):
         odd, even = (d.size for d in domains)
@@ -147,7 +154,7 @@ def test_delta_matches_full_difference_exhaustively(make):
     inst = make()
     for x in inst.all_assignments():
         fx = inst.fitness(x)
-        for k, v in inst.neighbors(x):
+        for k, v in moves_of(inst, x):
             y = list(x)
             y[k] = v
             assert inst._delta(x, k, x[k], v) == inst.fitness(y) - fx
@@ -158,7 +165,7 @@ def test_delta_matches_full_difference_sampled():
     rng = random.Random(7)
     for _ in range(300):
         x = tuple(rng.randrange(d.size) for d in inst.domains)
-        moves = inst.neighbors(x)
+        moves = moves_of(inst, x)
         k, v = moves[rng.randrange(len(moves))]
         y = list(x)
         y[k] = v
@@ -180,23 +187,23 @@ def test_fitness_is_invariant_under_constraint_permutation():
 
 def test_neighbors_examples():
     inst = build_2by3(2)
-    assert inst.neighbors((A, A)) == [(0, B), (1, B)]
-    assert inst.neighbors((B, B)) == [(0, A), (1, A), (1, C)]
+    assert moves_of(inst, (A, A)) == [(0, B), (1, B)]
+    assert moves_of(inst, (B, B)) == [(0, A), (1, A), (1, C)]
 
 
 def test_frozen_variable_contributes_no_neighbors():
     doms = (DomainSpec(("A", "B")), DomainSpec(("A", "B"), frozenset({(0, 1)})))
     inst = VcspInstance(doms, ())
-    assert inst.neighbors((A, A)) == [(1, B)]
+    assert moves_of(inst, (A, A)) == [(1, B)]
 
 
 def test_neighbor_symmetry():
     inst = build_3by5(2)
     for x in inst.all_assignments():
-        for k, v in inst.neighbors(x):
+        for k, v in moves_of(inst, x):
             y = list(x)
             y[k] = v
-            assert (k, x[k]) in inst.neighbors(y)
+            assert (k, x[k]) in moves_of(inst, y)
 
 
 def test_local_solution_examples():

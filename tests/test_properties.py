@@ -28,6 +28,7 @@ from ascentlab import (
     instance_to_json,
     ordered_ascent,
     pad,
+    rank1_split,
     simulate_ascent,
     steepest_ascent,
     verify_ascent,
@@ -35,6 +36,7 @@ from ascentlab import (
 )
 from ascentlab.ascent import AscentTrace, StepRecord
 from ascentlab.constructions import ExpandedDomain
+from ascentlab.model import neighbors_of
 from ascentlab.verification import padding_violation
 from references import traces_equivalent
 from relabelling import relabel
@@ -216,7 +218,7 @@ def test_ordered_agrees_with_the_from_scratch_checks(case):
 
 def _first_replay(inst, start, seed: int, step_limit: int | None) -> AscentTrace:
     """First-improvement ascent as documented, from full fitness calls: each
-    step visits the ascending `neighbors(x)` list in the order of a
+    step visits the ascending `neighbors_of` list in the order of a
     Fisher-Yates shuffle drawn with `randrange(i, m)`, and takes the first
     move that raises the fitness."""
     rng = random.Random(seed)
@@ -224,7 +226,7 @@ def _first_replay(inst, start, seed: int, step_limit: int | None) -> AscentTrace
     f = inst.fitness(x)
     steps = []
     while True:
-        moves = inst.neighbors(x)
+        moves = neighbors_of(inst.domains, x)
         m = len(moves)
         for i in range(m):
             j = rng.randrange(i, m)
@@ -636,3 +638,28 @@ def test_path_decomposition_check_equals_its_set_intersection_reference(case):
         if not all(c.label for c in inst.constraints if c.scope == scope):
             event("the scope's constraints include an unlabelled one")
     assert check_path_decomposition(inst, decomp) == want
+
+
+# -- rank-1 splits ------------------------------------------------------------------
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=5),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=5),
+    st.data(),
+)
+def test_rank1_split_witnesses_an_additive_matrix_and_refuses_a_bumped_one(column, row, data):
+    matrix = [[c + r for r in row] for c in column]
+    split = rank1_split(matrix)
+    assert split.feasible
+    assert [[c + r for r in split.row] for c in split.column] == matrix
+    # One entry off makes every 2x2 minor through it disagree.
+    i = data.draw(st.integers(0, len(column) - 1))
+    j = data.draw(st.integers(0, len(row) - 1))
+    matrix[i][j] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+    split = rank1_split(matrix)
+    assert not split.feasible
+    (a, b), (c, d) = split.minor
+    assert (split.lhs, split.rhs) == (matrix[a][b] + matrix[c][d], matrix[a][d] + matrix[c][b])
+    assert split.lhs != split.rhs

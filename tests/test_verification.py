@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
 from ascentlab import (
     ExpandedLandscape,
     PathDecomposition,
+    Rank1Split,
     ValuedConstraint,
     VcspInstance,
     build_2by3,
@@ -49,7 +51,9 @@ A = 0
 def test_oracle_matches_engine_everywhere(make):
     inst = make()
     for x in inst.all_assignments():
-        assert traces_equivalent(steepest_ascent(inst, x), exhaustive_steepest_oracle(inst, x))
+        oracle = exhaustive_steepest_oracle(inst, x)
+        assert traces_equivalent(steepest_ascent(inst, x), oracle)
+        assert oracle.ambiguous_steps == 0
 
 
 @pytest.mark.parametrize(
@@ -97,10 +101,12 @@ def test_checks_pass_at_reduced_caps():
         "pathwidth": 12,
     }
     for name in CHECK_NAMES:
+        t0 = time.perf_counter()
         report = run_check(name, caps)
+        wall = time.perf_counter() - t0
         assert report.passed, report.details
         assert report.counterexample is None
-        assert report.runtime_s >= 0
+        assert 0 <= report.runtime_s <= wall
         data = report.to_json()
         assert data["name"] == name and data["passed"] is True
 
@@ -150,8 +156,47 @@ def test_additive_matrix_splits_with_witness():
             assert ((0, 1), (1, 2))[i][j] == r.column[i] + r.row[j]
 
 
+def test_empty_matrices_split_with_empty_witnesses():
+    for matrix in ((), ((),)):
+        r = rank1_split(matrix)
+        assert r.feasible and r.column == () and r.row == ()
+
+
 def test_rank1_check_report():
     assert check_rank1().passed
+
+
+_TARGET = tuple(zip(*ODD_MIN))
+_ZERO = ((0, 0), (0, 0))
+_CONTROL = ((0, 1), (1, 2))
+_WRONG_TARGET = "unexpected violating minor"
+_WRONG_ZERO = "zero matrix should split trivially"
+_WRONG_CONTROL = "additive control matrix should split"
+
+
+@pytest.mark.parametrize(
+    "matrix,result,details",
+    [
+        (_TARGET, Rank1Split(True, (0, 1, 2), (0, 0)), "split target unexpectedly feasible"),
+        (_TARGET, Rank1Split(False, minor=((0, 0), (1, 2)), lhs=1, rhs=3), _WRONG_TARGET),
+        (_TARGET, Rank1Split(False, minor=((0, 0), (1, 1)), lhs=2, rhs=3), _WRONG_TARGET),
+        (_TARGET, Rank1Split(False, minor=((0, 0), (1, 1)), lhs=1, rhs=2), _WRONG_TARGET),
+        (_ZERO, Rank1Split(False), _WRONG_ZERO),
+        (_ZERO, Rank1Split(True, (0, 1), (0, 0)), _WRONG_ZERO),
+        (_ZERO, Rank1Split(True, (0, 0), (1, 0)), _WRONG_ZERO),
+        (_CONTROL, Rank1Split(False), _WRONG_CONTROL),
+        (_CONTROL, Rank1Split(True, (0, 2), (0, 1)), _WRONG_CONTROL),
+        (_CONTROL, Rank1Split(True, (0, 1), (0, 2)), _WRONG_CONTROL),
+    ],
+)
+def test_each_rank1_failure_reports_its_own_details(monkeypatch, matrix, result, details):
+    # `result` stands in for the split of `matrix`; every other split is real.
+    real = verification.rank1_split
+    monkeypatch.setattr(
+        verification, "rank1_split", lambda m: result if m == matrix else real(m)
+    )
+    report = check_rank1()
+    assert not report.passed and report.details == details
 
 
 def test_ragged_matrix_is_rejected():
