@@ -191,18 +191,23 @@ def _cmd_ascend(args) -> int:
 
 
 def _parse_caps(raw: list[str], check: str) -> dict[str, int]:
+    # A check reads the cap of its own name and each cap named after it plus a hyphen.
+    reads = [key for key in DEFAULT_CAPS if check in ("all", key) or key.startswith(check + "-")]
     caps: dict[str, int] = {}
     for item in raw:
-        if "=" in item:
-            key, _, value = item.partition("=")
-            if key not in DEFAULT_CAPS:
-                raise BuildError(f"unknown cap {key!r}; known: {sorted(DEFAULT_CAPS)}")
-            caps[key] = int(value)
-        else:
+        key, named, value = item.rpartition("=")
+        if not named:
             if check not in DEFAULT_CAPS:
                 capped = [name for name in CHECK_NAMES if name in DEFAULT_CAPS]
                 raise BuildError(f"bare --cap N needs a single --check of {capped}; use name=N")
-            caps[check] = int(item)
+            key = check
+        elif key not in DEFAULT_CAPS:
+            raise BuildError(f"unknown cap {key!r}; known: {sorted(DEFAULT_CAPS)}")
+        elif key not in reads:
+            raise BuildError(f"check {check!r} does not read cap {key!r}; reads {reads or 'none'}")
+        if key in caps:
+            raise BuildError(f"cap {key!r} given twice")
+        caps[key] = int(value)
     low = {key: n for key, n in caps.items() if n < 2}
     if low:
         raise BuildError(f"caps must be at least 2 (every check starts at n=2), got {low}")

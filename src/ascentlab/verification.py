@@ -7,14 +7,16 @@ carry a concrete counterexample.  `check_pathwidth` reads the hypergraph of
 the `bool-pw4` builder's rows; `test_criterion_6_arity_5_and_pathwidth_4_up_to_n200`
 ties it to the full build.  `3by5` and `bool-pw4` encode one padded
 chain, so each of their two claims has one checker that only decodes them
-differently: `padding_violation` and `_retrace_failure`.
+differently: `padding_violation` and `_retrace_failure`.  `_each_n` is the
+one loop over n = 2..cap of the capped checks: each hands it a fault function
+of n, so one size's instances and walks are gone before the next is built.
 """
 
 from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .ascent import (
@@ -56,14 +58,7 @@ class CheckReport:
     runtime_s: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "passed": self.passed,
-            "details": self.details,
-            "counterexample": self.counterexample,
-            "runtime_s": round(self.runtime_s, 6),
-        }
+        return {**asdict(self), "runtime_s": round(self.runtime_s, 6)}
 
 
 def _timed(name: str, params: dict, body: Callable[[], tuple[bool, str, dict | None]]) -> CheckReport:
@@ -151,6 +146,10 @@ def with_bumped_constraint(instance: VcspInstance, label: str, bump: int = 1) ->
 # -- individual checks ----------------------------------------------------------
 
 
+# A check's fault at one n: None, or its details and counterexample.
+_Fault = tuple[str, dict] | None
+
+
 def _fmax_recurrence_defect(n_max: int) -> str | None:
     # Doubling consequence of the closed form: appending two positions doubles
     # the ascent length plus a linear correction.
@@ -162,13 +161,28 @@ def _fmax_recurrence_defect(n_max: int) -> str | None:
     return None
 
 
-def _first_difference(got: Sequence, want: Sequence) -> tuple[int, object, object] | None:
+def _each_n(cap: int, fault: Callable[[int], _Fault]) -> tuple[bool, str, dict] | None:
+    """The only loop over n of the capped checks: calls `fault(n)` for n =
+    2..cap in order and turns the first `(details, counterexample)` it returns
+    into the failing verdict `"n=<n>: <details>"`; None when no n fails.  Each
+    n's instances and walks live only inside its `fault` call."""
+    for n in range(2, cap + 1):
+        found = fault(n)
+        if found is not None:
+            return False, f"n={n}: {found[0]}", found[1]
+    return None
+
+
+def _first_difference(
+    got: Sequence, want: Sequence, got_end=None, want_end=None
+) -> tuple[int, object, object] | None:
     """The first index where two sequences differ, as `(i, got[i], want[i])`,
     or None.  When one is a prefix of the other they differ at the shorter
-    length, and the missing side reads None.  Equal items, not equal types,
-    make them equal, so a list can match a range."""
+    length, and the missing side reads None.  Equal sequences differ at
+    `len(got)` when their ends `got_end` and `want_end` do.  Equal items, not
+    equal types, make them equal, so a list can match a range."""
     if len(got) == len(want) and all(map(operator.eq, got, want)):
-        return None
+        return None if got_end == want_end else (len(got), got_end, want_end)
     for i, (g, w) in enumerate(zip(got, want)):
         if g != w:
             return i, g, w
@@ -176,52 +190,38 @@ def _first_difference(got: Sequence, want: Sequence) -> tuple[int, object, objec
     return i, got[i] if i < len(got) else None, want[i] if i < len(want) else None
 
 
-def _doubled_walk(n: int) -> AscentTrace:
-    """The ordered 2by3 ascent from the canonical start, doubled onto the
-    expanded landscape: the walk steepest ascent must retrace."""
+def _retrace_failure(n: int, trace: AscentTrace, codec: BooleanCodec | None, ties: int) -> _Fault:
+    """The fault, as `_each_n` takes it, when a steepest walk on a padded
+    encoding of 2by3(n), its states decoded by `codec` (None: no decoding),
+    does not retrace the doubled walk in length, states, fitness values and
+    end, or does not tie on exactly `ties` steps; else None.  The doubled
+    walk is the ordered 2by3(n) walk from the canonical start, doubled onto
+    the expanded landscape.  A walk that is not terminal has no end: None."""
+    length, doubled = trace.length, 2 * f_max(n)
+    if length != doubled:
+        return f"length {length} != {doubled}", {"n": n, "length": length, "expected": doubled}
     base = build_2by3(n)
-    trace = ordered_ascent(base, canonical_start("2by3", n))
-    return simulate_ascent(trace, ExpandedLandscape(base))
-
-
-def _retrace_failure(
-    n: int, trace: AscentTrace, codec: BooleanCodec | None, ties: int
-) -> tuple[bool, str, dict] | None:
-    """The failing verdict when a steepest walk on a padded encoding of
-    2by3(n), its states decoded by `codec` (None: no decoding), does not
-    retrace `_doubled_walk(n)` in length, states, fitness values and end, or
-    does not tie on exactly `ties` steps; else None."""
-
-    def fail(details: str, **counterexample) -> tuple[bool, str, dict]:
-        return False, f"n={n}: {details}", {"n": n, **counterexample}
-
-    want = 2 * f_max(n)
-    if trace.length != want:
-        return fail(f"length {trace.length} != {want}", length=trace.length, expected=want)
-    sim = _doubled_walk(n)
+    sim = simulate_ascent(ordered_ascent(base, canonical_start("2by3", n)), ExpandedLandscape(base))
     if codec is None:
         walk, final = [list(x) for x in trace.states()], list(trace.final)
     else:
         walk, final = codec.decode_walk(trace), codec.decode_states(trace.final)
-    # The recorded end (None unless terminal) follows the replay as one more
-    # entry, compared once the replays agree: a short replay still ends in None.
-    sim_walk = [list(x) for x in sim.states()]
-    diff = _first_difference(walk, sim_walk) or _first_difference(
-        walk + [final if trace.terminal else None], sim_walk + [list(sim.final)]
+    final_fitness = trace.final_fitness
+    if not trace.terminal:
+        final = final_fitness = None
+    diff = _first_difference(walk, [list(x) for x in sim.states()], final, list(sim.final))
+    if diff is not None:
+        i, got, want = diff
+        details = f"decoded walk diverges at state {i}"
+        return details, {"n": n, "state": i, "decoded": got, "expected": want}
+    diff = _first_difference(
+        trace.fitness_values(), sim.fitness_values(), final_fitness, sim.final_fitness
     )
     if diff is not None:
-        i, got, expected = diff
-        return fail(f"decoded walk diverges at state {i}", state=i, decoded=got, expected=expected)
-    fits, sim_fits = trace.fitness_values(), sim.fitness_values()
-    diff = _first_difference(fits, sim_fits) or _first_difference(
-        fits + [trace.final_fitness if trace.terminal else None], sim_fits + [sim.final_fitness]
-    )
-    if diff is not None:
-        i, got, expected = diff
-        return fail(f"fitness diverges at step {i}", step=i, got=got, expected=expected)
-    if trace.tie_steps != ties:
-        tied = trace.tie_steps
-        return fail(f"{tied} tied steps != {ties}", tie_steps=tied, expected=ties)
+        i, got, want = diff
+        return f"fitness diverges at step {i}", {"n": n, "step": i, "got": got, "expected": want}
+    if (tied := trace.tie_steps) != ties:
+        return f"{tied} tied steps != {ties}", {"n": n, "tie_steps": tied, "expected": ties}
     return None
 
 
@@ -230,33 +230,32 @@ def check_ordered_length(n_max: int) -> CheckReport:
     length is exactly the instance maximum, every gain is exactly 1, and the
     improving state at the chosen variable is always unique."""
 
+    def fault(n):
+        target = f_max(n)
+        trace = ordered_ascent(build_2by3(n), canonical_start("2by3", n))
+        problems = []
+        if trace.length != target:
+            problems.append(f"length {trace.length} != {target}")
+        if not trace.terminal:
+            problems.append("did not reach a local solution")
+        if trace.final_fitness != target:
+            problems.append(f"final fitness {trace.final_fitness} != {target}")
+        if trace.ambiguous_steps != 0:
+            problems.append(f"{trace.ambiguous_steps} ambiguous steps")
+        bad = _first_difference(trace.fitness_values(), range(1, target + 1))
+        if bad is not None:
+            problems.append(f"step {bad[0]} fitness {bad[1]} != {bad[2]} (gain not 1)")
+        if problems:
+            return "; ".join(problems), {"n": n, "length": trace.length, "expected": target}
+        return None
+
     def body():
         defect = _fmax_recurrence_defect(n_max)
         if defect is not None:
             return False, defect, {"n_max": n_max}
-        for n in range(2, n_max + 1):
-            inst = build_2by3(n)
-            target = f_max(n)
-            trace = ordered_ascent(inst, canonical_start("2by3", n))
-            problems = []
-            if trace.length != target:
-                problems.append(f"length {trace.length} != {target}")
-            if not trace.terminal:
-                problems.append("did not reach a local solution")
-            if trace.final_fitness != target:
-                problems.append(f"final fitness {trace.final_fitness} != {target}")
-            if trace.ambiguous_steps != 0:
-                problems.append(f"{trace.ambiguous_steps} ambiguous steps")
-            bad = _first_difference(trace.fitness_values(), range(1, target + 1))
-            if bad is not None:
-                problems.append(f"step {bad[0]} fitness {bad[1]} != {bad[2]} (gain not 1)")
-            if problems:
-                return False, f"n={n}: " + "; ".join(problems), {
-                    "n": n,
-                    "length": trace.length,
-                    "expected": target,
-                }
-        return True, f"ordered ascents match the exact maximum for n=2..{n_max}", None
+        return _each_n(n_max, fault) or (
+            True, f"ordered ascents match the exact maximum for n=2..{n_max}", None
+        )
 
     return _timed("ordered-length", {"n_max": n_max}, body)
 
@@ -265,31 +264,26 @@ def check_simulation(n_max: int, verify_max: int) -> CheckReport:
     """Steepest ascent on the expanded instance reproduces the doubled base
     ordered ascent move for move, with a unique argmax at every step."""
 
+    def fault(n):
+        inst = build_3by5(n)
+        trace = steepest_ascent(inst, canonical_start("3by5", n))
+        failure = _retrace_failure(n, trace, None, 0)
+        if failure is None and n <= verify_max:
+            bad = verify_steepest(inst, trace)
+            if bad is not None:
+                details = f"full re-verification failed: {bad.reason}"
+                return details, {"n": n, "step": bad.step, "witness": bad.witness}
+        return failure
+
     def body():
-        for n in range(2, n_max + 1):
-            inst = build_3by5(n)
-            eng = steepest_ascent(inst, canonical_start("3by5", n))
-            failure = _retrace_failure(n, eng, None, 0)
-            if failure is not None:
-                return failure
-            if n <= verify_max:
-                bad = verify_steepest(inst, eng)
-                if bad is not None:
-                    return False, f"n={n}: full re-verification failed: {bad.reason}", {
-                        "n": n,
-                        "step": bad.step,
-                        "witness": bad.witness,
-                    }
-        return (
+        return _each_n(n_max, fault) or (
             True,
             f"steepest equals the doubled ordered ascent for n=2..{n_max} "
             f"(full neighborhood re-verification up to n={min(verify_max, n_max)})",
             None,
         )
 
-    return _timed(
-        "simulation", {"n_max": n_max, "verify_max": verify_max}, body
-    )
+    return _timed("simulation", {"n_max": n_max, "verify_max": verify_max}, body)
 
 
 def padding_violation(
@@ -317,15 +311,20 @@ def padding_violation(
     return None
 
 
+def _padding_fault(n: int, instance: VcspInstance, codec: BooleanCodec | None = None) -> _Fault:
+    """The fault, as `_each_n` takes it, when `instance`, an encoding of
+    2by3(n) decoded by `codec`, breaks the padding rule (`padding_violation`)."""
+    bad = padding_violation(instance, ExpandedLandscape(build_2by3(n)), codec)
+    return None if bad is None else ("padding rule violated", {**bad, "n": n})
+
+
 def check_padding(n_max: int) -> CheckReport:
     """Exhaustive padding-rule check of the expanded instance."""
 
     def body():
-        for n in range(2, n_max + 1):
-            bad = padding_violation(build_3by5(n), ExpandedLandscape(build_2by3(n)))
-            if bad is not None:
-                return False, f"n={n}: padding rule violated", {**bad, "n": n}
-        return True, f"padding rules hold exhaustively for n=2..{n_max}", None
+        return _each_n(n_max, lambda n: _padding_fault(n, build_3by5(n))) or (
+            True, f"padding rules hold exhaustively for n=2..{n_max}", None
+        )
 
     return _timed("padding", {"n_max": n_max}, body)
 
@@ -335,20 +334,18 @@ def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
     the steepest ascent from the canonical start decodes to the doubled walk
     with 3 * 2^h - 3 tied steps for even n and 2^(h+2) - 3 for odd n, h = n // 2."""
 
+    def retrace_fault(n):
+        inst, codec, _, start = build_boolean_pw4(n)
+        h = n // 2
+        ties = 3 * 2**h - 3 if n % 2 == 0 else 2 ** (h + 2) - 3
+        return _retrace_failure(n, steepest_ascent(inst, start), codec, ties)
+
     def body():
-        for n in range(2, n_equiv + 1):
-            inst, codec, _, _ = build_boolean_pw4(n)
-            bad = padding_violation(inst, ExpandedLandscape(build_2by3(n)), codec)
-            if bad is not None:
-                return False, f"n={n}: padding rule violated", {**bad, "n": n}
-        for n in range(2, n_traj + 1):
-            inst, codec, _, start = build_boolean_pw4(n)
-            h = n // 2
-            ties = 3 * 2**h - 3 if n % 2 == 0 else 2 ** (h + 2) - 3
-            failure = _retrace_failure(n, steepest_ascent(inst, start), codec, ties)
-            if failure is not None:
-                return failure
-        return True, "boolean fitness equivalence and decoded replay hold", None
+        return (
+            _each_n(n_equiv, lambda n: _padding_fault(n, *build_boolean_pw4(n)[:2]))
+            or _each_n(n_traj, retrace_fault)
+            or (True, "boolean fitness equivalence and decoded replay hold", None)
+        )
 
     return _timed("boolean", {"n_equiv": n_equiv, "n_traj": n_traj}, body)
 
@@ -359,26 +356,19 @@ def check_pathwidth(n_max: int) -> CheckReport:
     (`boolean_pw4_hypergraph`, no value tensor); the acceptance test
     `test_criterion_6_arity_5_and_pathwidth_4_up_to_n200` ties that to the build."""
 
+    def fault(n):
+        n_bits, edges, decomp = boolean_pw4_hypergraph(n)
+        if (max_arity := max(len(scope) for scope, _ in edges)) != 5:
+            return f"max arity {max_arity} != 5", {"n": n, "max_arity": max_arity}
+        report = check_hypergraph_decomposition(n_bits, edges, decomp)
+        if not report.ok:
+            return report.violation, {"n": n, "violation": report.violation}
+        if report.width != 4:
+            return f"width {report.width} != 4", {"n": n, "width": report.width}
+        return None
+
     def body():
-        for n in range(2, n_max + 1):
-            n_bits, edges, decomp = boolean_pw4_hypergraph(n)
-            if (max_arity := max(len(scope) for scope, _ in edges)) != 5:
-                return False, f"n={n}: max arity {max_arity} != 5", {
-                    "n": n,
-                    "max_arity": max_arity,
-                }
-            report = check_hypergraph_decomposition(n_bits, edges, decomp)
-            if not report.ok:
-                return False, f"n={n}: {report.violation}", {
-                    "n": n,
-                    "violation": report.violation,
-                }
-            if report.width != 4:
-                return False, f"n={n}: width {report.width} != 4", {
-                    "n": n,
-                    "width": report.width,
-                }
-        return True, f"arity 5 and width 4 hold for n=2..{n_max}", None
+        return _each_n(n_max, fault) or (True, f"arity 5 and width 4 hold for n=2..{n_max}", None)
 
     return _timed("pathwidth", {"n_max": n_max}, body)
 

@@ -509,9 +509,20 @@ def test_the_readme_command_lines_parse():
         _build_parser().parse_args(command[1:])
 
 
-@pytest.mark.parametrize("cap", ["pathwidth=-3", "pathwidth=1", "boolean-equiv=0", "1"])
-def test_verify_rejects_caps_below_two(capsys, cap):
-    code, out, err = run(capsys, "verify", "--check", "pathwidth", "--cap", cap)
+@pytest.mark.parametrize(
+    "check, cap",
+    [
+        pytest.param(check, cap, id=cap)
+        for check, cap in [
+            ("pathwidth", "pathwidth=-3"),
+            ("pathwidth", "pathwidth=1"),
+            ("boolean", "boolean-equiv=0"),
+            ("pathwidth", "1"),
+        ]
+    ],
+)
+def test_verify_rejects_caps_below_two(capsys, check, cap):
+    code, out, err = run(capsys, "verify", "--check", check, "--cap", cap)
     assert code == 2 and out == "" and "at least 2" in err
 
 
@@ -552,6 +563,35 @@ def test_verify_bare_cap_needs_a_check_with_that_cap(capsys, check):
     code, out, err = run(capsys, "verify", "--check", check, "--cap", "5")
     _assert_usage_error(code, out, err)
     assert "bare --cap N needs a single --check" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--check", "padding", "--cap", "simulation=5"], "does not read cap 'simulation'"),
+        (["--check", "rank1", "--cap", "pathwidth=3"], "does not read cap 'pathwidth'"),
+        (["--check", "padding", "--cap", "padding=3", "--cap", "padding=4"], "given twice"),
+    ],
+    ids=["other-check", "rank1", "twice"],
+)
+def test_verify_refuses_a_cap_its_check_does_not_read(capsys, monkeypatch, argv, message):
+    import ascentlab.cli as cli
+
+    def refuse(name, caps):
+        raise AssertionError(f"check {name} ran")
+
+    monkeypatch.setattr(cli, "run_check", refuse)
+    code, out, err = run(capsys, "verify", *argv)
+    _assert_usage_error(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "check, cap", [("simulation", "simulation-verify=3"), ("boolean", "boolean-equiv=2")]
+)
+def test_verify_reads_the_caps_named_after_its_check(capsys, check, cap):
+    code, out, _ = run(capsys, "verify", "--check", check, "--cap", "3", "--cap", cap)
+    assert code == 0 and json.loads(out)["passed"]
 
 
 def test_verify_legacy_check_names(capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
+import weakref
 
 import pytest
 
@@ -627,9 +629,10 @@ LOOPS = {
 }
 
 
-@pytest.mark.parametrize("loop", LOOPS)
-def test_each_check_loop_runs_from_n_2_to_its_cap(monkeypatch, loop):
-    run, name, plant = LOOPS[loop]
+def _plant(monkeypatch, loop):
+    """Wrap the name LOOPS[loop] watches: the returned sets are the n its calls
+    have seen, and the n at which it plants its fault (empty at first)."""
+    _, name, plant = LOOPS[loop]
     real = getattr(verification, name)
     seen, faulty = set(), set()
 
@@ -638,20 +641,212 @@ def test_each_check_loop_runs_from_n_2_to_its_cap(monkeypatch, loop):
         seen.add(n)
         return plant(real, first, *rest) if n in faulty else real(first, *rest)
 
+    monkeypatch.setattr(verification, name, counted)
+    return seen, faulty
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_each_check_loop_runs_from_n_2_to_its_cap(monkeypatch, loop):
+    run, name, _ = LOOPS[loop]
+    seen, faulty = _plant(monkeypatch, loop)
+
     def failure(cap):
         """The failure text of the run, or None; a check names n as "n=<n>: "
         and the recurrence names each f_max it compares."""
         out = run(cap)
         return out if not isinstance(out, CheckReport) else None if out.passed else out.details
 
-    monkeypatch.setattr(verification, name, counted)
     names = "f_max({})" if name == "f_max" else "n={}: "
     cap = 5
     assert failure(cap) is None and sorted(seen) == list(range(2, cap + 1))
     for n in (2, cap):
-        faulty = {n}
+        faulty.clear()
+        faulty.add(n)
         text = failure(cap)
         assert text is not None and names.format(n) in text, text
+
+
+# The failing report of each loop of LOOPS run with cap 5 and its fault planted
+# at n, as JSON without `runtime_s`; the recurrence returns text.  Key order
+# counts: the padding counterexamples end with "n", the others start with it.
+PINNED_FAILURES = {
+    ("ordered-length", 2): {
+        "name": "ordered-length",
+        "params": {"n_max": 5},
+        "passed": False,
+        "details": "n=2: length 1 != 5; final fitness 2 != 5; step 0 fitness 2 != 1 (gain not 1)",
+        "counterexample": {"n": 2, "length": 1, "expected": 5},
+    },
+    ("ordered-length", 5): {
+        "name": "ordered-length",
+        "params": {"n_max": 5},
+        "passed": False,
+        "details": (
+            "n=5: length 11 != 35; final fitness 36 != 35; "
+            "step 0 fitness 2 != 1 (gain not 1)"
+        ),
+        "counterexample": {"n": 5, "length": 11, "expected": 35},
+    },
+    ("simulation", 2): {
+        "name": "simulation",
+        "params": {"n_max": 5, "verify_max": 1},
+        "passed": False,
+        "details": "n=2: fitness diverges at step 0",
+        "counterexample": {"n": 2, "step": 0, "got": 3, "expected": 2},
+    },
+    ("simulation", 5): {
+        "name": "simulation",
+        "params": {"n_max": 5, "verify_max": 1},
+        "passed": False,
+        "details": "n=5: fitness diverges at step 0",
+        "counterexample": {"n": 5, "step": 0, "got": 6, "expected": 5},
+    },
+    ("simulation-verify", 2): {
+        "name": "simulation",
+        "params": {"n_max": 5, "verify_max": 5},
+        "passed": False,
+        "details": "n=2: full re-verification failed: recorded fitness 3 != actual 2",
+        "counterexample": {"n": 2, "step": 0, "witness": None},
+    },
+    ("simulation-verify", 5): {
+        "name": "simulation",
+        "params": {"n_max": 5, "verify_max": 5},
+        "passed": False,
+        "details": "n=5: full re-verification failed: recorded fitness 6 != actual 5",
+        "counterexample": {"n": 5, "step": 0, "witness": None},
+    },
+    ("padding", 2): {
+        "name": "padding",
+        "params": {"n_max": 5},
+        "passed": False,
+        "details": "n=2: padding rule violated",
+        "counterexample": {
+            "assignment": [2, 0],
+            "intermediates": 1,
+            "got": 3,
+            "expected": 2,
+            "n": 2,
+        },
+    },
+    ("padding", 5): {
+        "name": "padding",
+        "params": {"n_max": 5},
+        "passed": False,
+        "details": "n=5: padding rule violated",
+        "counterexample": {
+            "assignment": [2, 0, 0, 0, 0],
+            "intermediates": 1,
+            "got": 6,
+            "expected": 5,
+            "n": 5,
+        },
+    },
+    ("boolean", 2): {
+        "name": "boolean",
+        "params": {"n_equiv": 1, "n_traj": 5},
+        "passed": False,
+        "details": "n=2: fitness diverges at step 0",
+        "counterexample": {"n": 2, "step": 0, "got": 3, "expected": 2},
+    },
+    ("boolean", 5): {
+        "name": "boolean",
+        "params": {"n_equiv": 1, "n_traj": 5},
+        "passed": False,
+        "details": "n=5: fitness diverges at step 0",
+        "counterexample": {"n": 5, "step": 0, "got": 6, "expected": 5},
+    },
+    ("boolean-equiv", 2): {
+        "name": "boolean",
+        "params": {"n_equiv": 5, "n_traj": 1},
+        "passed": False,
+        "details": "n=2: padding rule violated",
+        "counterexample": {
+            "assignment": [0, 0, 0, 0, 1],
+            "intermediates": 1,
+            "got": 23,
+            "expected": 22,
+            "n": 2,
+        },
+    },
+    ("boolean-equiv", 5): {
+        "name": "boolean",
+        "params": {"n_equiv": 5, "n_traj": 1},
+        "passed": False,
+        "details": "n=5: padding rule violated",
+        "counterexample": {
+            "assignment": [0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1],
+            "intermediates": 2,
+            "got": 196,
+            "ceiling": 195,
+            "n": 5,
+        },
+    },
+    ("pathwidth", 2): {
+        "name": "pathwidth",
+        "params": {"n_max": 5},
+        "passed": False,
+        "details": "n=2: scope of M1~@G1-G2 ([0, 1, 2, 3, 4]) is not inside any bag",
+        "counterexample": {
+            "n": 2,
+            "violation": "scope of M1~@G1-G2 ([0, 1, 2, 3, 4]) is not inside any bag",
+        },
+    },
+    ("pathwidth", 5): {
+        "name": "pathwidth",
+        "params": {"n_max": 5},
+        "passed": False,
+        "details": "n=5: scope of M1~@G1-G2 ([0, 1, 2, 3, 4]) is not inside any bag",
+        "counterexample": {
+            "n": 5,
+            "violation": "scope of M1~@G1-G2 ([0, 1, 2, 3, 4]) is not inside any bag",
+        },
+    },
+    ("_fmax_recurrence_defect", 2): "f_max(4) = 22 but doubling f_max(2) gives 24",
+    ("_fmax_recurrence_defect", 5): "f_max(5) = 36 but doubling f_max(3) gives 35",
+}
+
+
+@pytest.mark.parametrize("loop, n", list(PINNED_FAILURES))
+def test_each_loop_reports_its_planted_fault_as_pinned(monkeypatch, loop, n):
+    _, faulty = _plant(monkeypatch, loop)
+    faulty.add(n)
+    out = LOOPS[loop][0](5)
+    if isinstance(out, CheckReport):
+        out = out.to_json()
+        del out["runtime_s"]
+    assert json.dumps(out) == json.dumps(PINNED_FAILURES[loop, n])
+
+
+# -- each check keeps one size's walks at a time ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: check_ordered_length(6),
+        lambda: check_simulation(6, 6),
+        lambda: check_boolean(2, 6),
+    ],
+    ids=["ordered-length", "simulation", "boolean"],
+)
+def test_no_check_keeps_a_smaller_walk_alive(monkeypatch, run):
+    returned: dict[int, list[weakref.ref]] = {}
+
+    def watched(engine):
+        def walk(inst, *args, **kwargs):
+            n = inst.base_n
+            alive = [m for m, refs in returned.items() if m < n for r in refs if r() is not None]
+            assert not alive, f"a walk of n={alive[0]} is alive at n={n}"
+            trace = engine(inst, *args, **kwargs)
+            returned.setdefault(n, []).append(weakref.ref(trace))
+            return trace
+
+        return walk
+
+    for name in ("ordered_ascent", "steepest_ascent"):
+        monkeypatch.setattr(verification, name, watched(getattr(verification, name)))
+    assert run().passed
+    assert sorted(returned) == [2, 3, 4, 5, 6]
 
 
 def test_helpers_reject_unknown_labels():
