@@ -207,6 +207,8 @@ def _parse_caps(raw: list[str], check: str) -> dict[str, int]:
             raise BuildError(f"check {check!r} does not read cap {key!r}; reads {reads or 'none'}")
         if key in caps:
             raise BuildError(f"cap {key!r} given twice")
+        if not (value.isascii() and value.removeprefix("-").isdecimal()):
+            raise BuildError(f"cap {key!r} needs a whole number, got {value!r}")
         caps[key] = int(value)
     low = {key: n for key, n in caps.items() if n < 2}
     if low:

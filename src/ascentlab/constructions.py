@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Iterator, NamedTuple, Sequence
@@ -787,14 +788,16 @@ def boolean_pw4_hypergraph(n: int) -> tuple[int, tuple[Edge, ...], PathDecomposi
     """`build_boolean_pw4(n)`'s bit count, (scope, label) per constraint and
     decomposition, read from its rows in its order without filling a value."""
     cells, n_bits, decomp = _pw4_chain(n)
-    edges = tuple((scope, label) for _, rows in _in_order(cells) for scope, _, label, _, _ in rows)
+    rows = itertools.chain.from_iterable(map(operator.itemgetter(1), _in_order(cells)))
+    edges = tuple(map(operator.itemgetter(0, 2), rows))  # each row's scope and label
     return n_bits, edges, decomp
 
 
 def _pw4_chain(n: int) -> tuple[list[_Rows], int, PathDecomposition]:
     cells = [_pw4_rows(k, k == n) for k in _chain_positions(n)]
     bags = tuple(itertools.chain.from_iterable(c.bags for c in cells))
-    return cells, sum(c.collection.width for c in cells), PathDecomposition(bags)
+    last = cells[-1].collection
+    return cells, last.offset + last.width, PathDecomposition(bags)
 
 
 # -- canonical starts ---------------------------------------------------------

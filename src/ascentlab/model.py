@@ -399,7 +399,7 @@ class PathDecomposition:
     bags: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bags", tuple(frozenset(b) for b in self.bags))
+        object.__setattr__(self, "bags", tuple(map(frozenset, self.bags)))
 
 
 @dataclass(frozen=True)

@@ -350,21 +350,41 @@ def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
     return _timed("boolean", {"n_equiv": n_equiv, "n_traj": n_traj}, body)
 
 
+def _bagged(bags: Sequence[frozenset[int]], scopes, held: dict) -> bool:
+    """Whether each scope is in a bag: `held[scope]` if still one, else the last that holds it."""
+    present = set(bags)
+    for scope in scopes:
+        if held.get(scope) not in present:
+            bag = next((b for b in reversed(bags) if b.issuperset(scope)), None)
+            if bag is None:
+                return False
+            held[scope] = bag
+    return True
+
+
 def check_pathwidth(n_max: int) -> CheckReport:
     """Every Boolean instance has max constraint arity 5 and its canonical
     decomposition checks out at width exactly 4, read from its hypergraph
     (`boolean_pw4_hypergraph`, no value tensor); the acceptance test
-    `test_criterion_6_arity_5_and_pathwidth_4_up_to_n200` ties that to the build."""
+    `test_criterion_6_arity_5_and_pathwidth_4_up_to_n200` ties that to the build.
+    It accepts what `check_hypergraph_decomposition` accepts (bits in range,
+    each entering one bag, non-empty scopes each in a bag, found via `held`
+    as n - 1's bags recur at n); that explainer only words a rejection."""
+    held: dict[tuple[int, ...], frozenset[int]] = {}  # scope -> last bag holding it
 
     def fault(n):
         n_bits, edges, decomp = boolean_pw4_hypergraph(n)
-        if (max_arity := max(len(scope) for scope, _ in edges)) != 5:
+        scopes = set(map(operator.itemgetter(0), edges))
+        if (max_arity := max(map(len, scopes))) != 5:
             return f"max arity {max_arity} != 5", {"n": n, "max_arity": max_arity}
-        report = check_hypergraph_decomposition(n_bits, edges, decomp)
-        if not report.ok:
-            return report.violation, {"n": n, "violation": report.violation}
-        if report.width != 4:
-            return f"width {report.width} != 4", {"n": n, "width": report.width}
+        bags, bits = decomp.bags, frozenset().union(*decomp.bags)
+        entering = sum(map(len, map(frozenset.difference, bags, (frozenset(), *bags))))
+        if not (0 <= min(bits, default=0) and max(bits, default=-1) < n_bits
+                and entering == len(bits) and all(scopes) and _bagged(bags, scopes, held)):
+            violation = check_hypergraph_decomposition(n_bits, edges, decomp).violation
+            return violation, {"n": n, "violation": violation}
+        if (width := max(map(len, bags), default=0) - 1) != 4:
+            return f"width {width} != 4", {"n": n, "width": width}
         return None
 
     def body():

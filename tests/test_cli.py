@@ -526,6 +526,26 @@ def test_verify_rejects_caps_below_two(capsys, check, cap):
     assert code == 2 and out == "" and "at least 2" in err
 
 
+@pytest.mark.parametrize(
+    "check, cap, value",
+    [
+        ("pathwidth", "pathwidth=x", "x"),
+        ("pathwidth", "x", "x"),
+        ("all", "pathwidth=", ""),
+        ("pathwidth", "pathwidth=1.5", "1.5"),
+        ("pathwidth", "1_0", "1_0"),
+    ],
+    ids=["named-x", "bare-x", "empty", "decimal-point", "underscore"],
+)
+def test_verify_refuses_a_cap_that_is_not_a_whole_number(capsys, monkeypatch, check, cap, value):
+    import ascentlab.cli as cli
+
+    monkeypatch.setattr(cli, "run_check", _must_not_run)
+    code, out, err = run(capsys, "verify", "--check", check, "--cap", cap)
+    _assert_usage_error(code, out, err)
+    assert err == f"error: cap 'pathwidth' needs a whole number, got {value!r}\n"
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run(capsys, "verify", "--check", "rank1")
     report = json.loads(out.strip())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import time
 import weakref
 
@@ -25,7 +26,7 @@ from ascentlab import (
     steepest_ascent,
 )
 from ascentlab import constructions, verification
-from ascentlab.constructions import ODD_MIN, f_max
+from ascentlab.constructions import ODD_MIN, boolean_pw4_hypergraph, f_max
 from ascentlab.verification import (
     CHECK_NAMES,
     CheckReport,
@@ -39,7 +40,7 @@ from ascentlab.verification import (
     run_check,
     with_bumped_constraint,
 )
-from references import traces_equivalent, without_constraints
+from references import reference_pathwidth_report, traces_equivalent, without_constraints
 
 A = 0
 
@@ -582,6 +583,110 @@ def test_the_pathwidth_check_fills_no_value_tensor(monkeypatch):
     monkeypatch.setattr(constructions, "_assemble", refuse)
     monkeypatch.setattr(VcspInstance, "validate", refuse)
     assert verification.check_pathwidth(DEFAULT_CAPS["pathwidth"]).passed
+
+
+def _pathwidth_json(n_max: int) -> str:
+    """check_pathwidth(n_max)'s report as JSON without `runtime_s`."""
+    report = verification.check_pathwidth(n_max).to_json()
+    del report["runtime_s"]
+    return json.dumps(report)
+
+
+def _tamper_at(monkeypatch, at: int, tamper) -> None:
+    """Make the hypergraph of size `at` tamper(n_bits, edges, bags), edges and
+    bags as tuples, computed once, so every call sees the same tampered
+    hypergraph; every other size is left as built."""
+    n_bits, edges, decomp = boolean_pw4_hypergraph(at)
+    edges, bags = tamper(n_bits, edges, decomp.bags)
+    built = n_bits, edges, PathDecomposition(bags)
+
+    def tampered(n):
+        return built if n == at else boolean_pw4_hypergraph(n)
+
+    monkeypatch.setattr(verification, "boolean_pw4_hypergraph", tampered)
+
+
+def _random_tamper(rng: random.Random):
+    """One of six tampers, its bag, bit or scope drawn from `rng`."""
+    kind = rng.choice(["drop", "shrink", "duplicate", "swap", "add-bit", "add-edge"])
+
+    def tamper(n_bits, edges, bags):
+        bags = list(bags)
+        i = rng.randrange(len(bags))
+        if kind == "drop":
+            del bags[i]
+        elif kind == "shrink":
+            bags[i] = bags[i] - {rng.choice(sorted(bags[i]))}
+        elif kind == "duplicate":  # anywhere, so not always next to itself
+            bags.insert(rng.randrange(len(bags) + 1), bags[i])
+        elif kind == "swap":
+            j = rng.randrange(len(bags))
+            bags[i], bags[j] = bags[j], bags[i]
+        elif kind == "add-bit":  # n_bits itself is not a bit
+            bags[i] = bags[i] | {rng.randrange(n_bits + 1)}
+        else:
+            scope = tuple(rng.sample(range(n_bits + 1), rng.randrange(7)))
+            edges = edges + ((scope, "added"),)
+        return edges, tuple(bags)
+
+    return kind, tamper
+
+
+def test_the_pathwidth_check_reports_as_the_reference_on_seeded_tampers(monkeypatch):
+    outcomes = set()
+    for seed in range(240):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        kind, tamper = _random_tamper(rng)
+        _tamper_at(monkeypatch, n, tamper)
+        cap = rng.randint(n, 12)
+        want = reference_pathwidth_report(cap)
+        assert _pathwidth_json(cap) == json.dumps(want), (seed, kind, n)
+        outcomes.add((kind, want["passed"] or list(want["counterexample"])[1]))
+    # each tamper fails at least once, and the failures take all three forms
+    kinds = {"drop", "shrink", "duplicate", "swap", "add-bit", "add-edge"}
+    assert {kind for kind, form in outcomes if form is not True} == kinds
+    assert {form for _, form in outcomes} == {True, "violation", "width", "max_arity"}
+
+
+def test_a_scope_whose_bag_is_gone_is_searched_for_again(monkeypatch):
+    # At n = 5 only the bag of G3 and G4 holds the scope of M2~@G3-G4; at
+    # n = 6 that bag loses bit 9, so the bag the check remembers for the
+    # scope is not one of n = 6's bags, and no other bag holds the scope.
+    scope = (5, 6, 7, 8, 9)
+    _, _, decomp = boolean_pw4_hypergraph(5)
+    (held,) = [bag for bag in decomp.bags if bag.issuperset(scope)]
+    assert held == frozenset(scope) and held in boolean_pw4_hypergraph(6)[2].bags
+
+    def shrink(n_bits, edges, bags):
+        return edges, tuple(bag - {9} if bag == held else bag for bag in bags)
+
+    _tamper_at(monkeypatch, 6, shrink)
+    got = _pathwidth_json(8)
+    assert got == json.dumps(reference_pathwidth_report(8))
+    violation = "scope of M2~@G3-G4 ([5, 6, 7, 8, 9]) is not inside any bag"
+    assert json.loads(got)["counterexample"] == {"n": 6, "violation": violation}
+
+
+def test_pathwidth_calls_keep_nothing_from_each_other(monkeypatch):
+    # A clean call, then one with the bag of G1 and G2 dropped at n = 4, then
+    # a clean call again: each is reported as if it ran alone, and the module
+    # holds the same objects afterwards, each container with the same contents.
+    def namespace():
+        return {
+            name: (value, value.copy() if isinstance(value, (dict, list, set)) else None)
+            for name, value in vars(verification).items()
+        }
+
+    before = namespace()
+    assert verification.check_pathwidth(8).passed
+    with monkeypatch.context() as patch:
+        _tamper_at(patch, 4, lambda n_bits, edges, bags: (edges, bags[1:]))
+        got = _pathwidth_json(8)
+        assert got == json.dumps(reference_pathwidth_report(8))
+        assert json.loads(got)["details"].startswith("n=4: scope of M1~@G1-G2")
+    assert verification.check_pathwidth(8).passed
+    assert namespace() == before
 
 
 # -- every loop of the checks runs from n = 2 to its cap ---------------------------------
