@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise BuildError(message)
 
 
+def _path(value: str) -> str:
+    """A path option's value; an empty one would name nothing or the working directory."""
+    if not value:
+        raise argparse.ArgumentTypeError("needs a path, got ''")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ascentlab",
@@ -62,21 +69,23 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="build an instance and write it as JSON")
     gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", required=True, type=int, help="number of chain positions")
-    gen.add_argument("--out", required=True, help="output instance path (.json)")
+    gen.add_argument("--out", required=True, type=_path, help="output instance path (.json)")
 
     asc = sub.add_parser("ascend", help="run one ascent and print a summary")
-    asc.add_argument("--instance", help="instance JSON produced by gen")
+    asc.add_argument("--instance", type=_path, help="instance JSON produced by gen")
     asc.add_argument("--family", choices=FAMILIES, help="build in memory instead")
     asc.add_argument("--n", type=int)
     asc.add_argument("--engine", default="steepest", choices=tuple(_ENGINES))
     asc.add_argument(
         "--start",
         default="canonical",
+        type=_path,
         help="'canonical' or a JSON file with a list of state ids or labels",
     )
     asc.add_argument("--step-limit", type=int, default=None)
     asc.add_argument(
         "--trace",
+        type=_path,
         help="write the trace here (.csv or .json); without it no step is recorded",
     )
 

@@ -253,11 +253,9 @@ class _Rows(NamedTuple):
     bags: tuple[frozenset[int], ...] = ()
 
 
-def _in_order(cells: Sequence[_Rows]) -> Iterator[tuple[int, tuple[_Row, ...]]]:
-    """A chain's (k, rows) in its constraints' order: by group, then by position k."""
-    for group in range(len(cells[0].groups)):
-        for k, cell in enumerate(cells, 1):
-            yield k, cell.groups[group]
+def _in_order(cells: Sequence[_Rows]) -> Iterator[tuple[tuple[_Row, ...], ...]]:
+    """A chain's rows in constraint order: per group, position k's rows for k = 1..n."""
+    return zip(*(cell.groups for cell in cells))
 
 
 def _assemble(
@@ -266,14 +264,15 @@ def _assemble(
     """A chain's constraints `_in_order`, each unit table times its weight and factor."""
     n = len(cells)
     constraints = []
-    for k, rows in _in_order(cells):
-        factors = (scale, n - k + 1, penalty)
-        for scope, (size, entries), label, weight, factor in rows:
-            f = factors[factor] * weight
-            values = [0] * size
-            for i, v in entries:
-                values[i] = f * v
-            constraints.append(ValuedConstraint(scope, values, label))
+    for column in _in_order(cells):
+        for k, rows in enumerate(column, 1):
+            factors = (scale, n - k + 1, penalty)
+            for scope, (size, entries), label, weight, factor in rows:
+                f = factors[factor] * weight
+                values = [0] * size
+                for i, v in entries:
+                    values[i] = f * v
+                constraints.append(ValuedConstraint(scope, values, label))
     return tuple(constraints)
 
 
@@ -788,7 +787,7 @@ def boolean_pw4_hypergraph(n: int) -> tuple[int, tuple[Edge, ...], PathDecomposi
     """`build_boolean_pw4(n)`'s bit count, (scope, label) per constraint and
     decomposition, read from its rows in its order without filling a value."""
     cells, n_bits, decomp = _pw4_chain(n)
-    rows = itertools.chain.from_iterable(map(operator.itemgetter(1), _in_order(cells)))
+    rows = itertools.chain.from_iterable(itertools.chain.from_iterable(_in_order(cells)))
     edges = tuple(map(operator.itemgetter(0, 2), rows))  # each row's scope and label
     return n_bits, edges, decomp
 

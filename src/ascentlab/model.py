@@ -15,7 +15,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -124,8 +123,6 @@ def neighbors_of(domains: Sequence[DomainSpec], x: Sequence[int]) -> list[tuple[
     return out
 
 
-# A constraint's scope, read in C.
-_scope_of = operator.itemgetter(0)
 Edge = tuple[tuple[int, ...], str]  # a constraint's scope and label
 
 
@@ -432,58 +429,28 @@ def check_hypergraph_decomposition(
     """Check that the bags of variables 0..n_vars-1 cover each edge's scope, whose
     label only names a violation, and that each variable's bags are contiguous.
 
-    Every variable's bags are contiguous exactly when each variable enters
-    (is in a bag but not in the one before) once.  Then a scope lies inside
-    some bag exactly when it lies inside the bag where the latest-entering
-    of its variables enters, because intervals that meet pairwise share a
-    point.  So a valid decomposition costs one subset test per distinct
-    scope, all in one C-level pass; only one that fails it is walked again,
-    by `_violation`, to word its first violation."""
-    bags = decomposition.bags
-    entering = list(map(frozenset.difference, bags, chain((frozenset(),), bags)))
-    # the bag where each variable enters (its last entry if it enters twice)
-    entry = {v: bi for bi, new in enumerate(entering) for v in new}
-    # each distinct scope once, in order of first use
-    scopes = list(dict.fromkeys(map(_scope_of, edges)))
-    # per scope, the bag where its latest-entering variable enters; read only
-    # once the scopes are known to be non-empty and made of bagged variables
-    latest = map(max, map(map, repeat(entry.__getitem__), scopes))
-    if (
-        0 <= min(entry, default=0) and max(entry, default=-1) < n_vars
-        and sum(map(len, entering)) == len(entry)
-        and all(scopes)
-        and entry.keys() >= set().union(*scopes)
-        and all(map(frozenset.issuperset, map(bags.__getitem__, latest), scopes))
-    ):
-        return DecompositionReport(max(map(len, bags), default=0) - 1)
-    return DecompositionReport(None, _violation(n_vars, edges, bags, scopes))
-
-
-def _violation(
-    n_vars: int, edges: Sequence[Edge], bags: Sequence[frozenset[int]], scopes: list
-) -> str:
-    """The first violation of a decomposition that has one, in this order: a
-    bag entry that is not a variable; the first distinct scope whose
-    variables' bag sets do not intersect (an empty scope, or one with a
-    variable in no bag, never is), named by its first edge's label; the first
-    variable, in order of first appearance, whose bags are not contiguous."""
+    The report names the first violation, in this order: a bag entry that is
+    not a variable; the first distinct scope whose variables' bag sets do not
+    intersect (an empty scope, or one with a variable in no bag, never is),
+    named by its first edge's label; the first variable, in order of first
+    appearance, whose bags are not contiguous.  Without one, it gives the width."""
     var_bags: dict[int, list[int]] = {}
-    for bi, bag in enumerate(bags):
+    for bi, bag in enumerate(decomposition.bags):
         for v in bag:
             if not (0 <= v < n_vars):
-                return f"bag {bi} contains unknown variable {v}"
+                return DecompositionReport(None, f"bag {bi} contains unknown variable {v}")
             var_bags.setdefault(v, []).append(bi)
-    for scope in scopes:
+    for scope in dict.fromkeys(s for s, _ in edges):
         bag_sets = [set(var_bags.get(v, ())) for v in scope]
         if not (bag_sets and set.intersection(*bag_sets)):
-            label = next(label for s, label in edges if s == scope)
-            who = label or f"scope {sorted(scope)}"
-            return f"scope of {who} ({sorted(scope)}) is not inside any bag"
-    return next(
-        f"variable {v} appears in bags {bs}, which is not a contiguous interval"
-        for v, bs in var_bags.items()
-        if bs[-1] - bs[0] + 1 != len(bs)
-    )
+            who = next(label for s, label in edges if s == scope) or f"scope {sorted(scope)}"
+            bad = f"scope of {who} ({sorted(scope)}) is not inside any bag"
+            return DecompositionReport(None, bad)
+    for v, bs in var_bags.items():
+        if bs[-1] - bs[0] + 1 != len(bs):
+            bad = f"variable {v} appears in bags {bs}, which is not a contiguous interval"
+            return DecompositionReport(None, bad)
+    return DecompositionReport(max(map(len, decomposition.bags), default=0) - 1)
 
 
 # -- JSON serialization -----------------------------------------------------

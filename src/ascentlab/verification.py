@@ -367,9 +367,9 @@ def check_pathwidth(n_max: int) -> CheckReport:
     decomposition checks out at width exactly 4, read from its hypergraph
     (`boolean_pw4_hypergraph`, no value tensor); the acceptance test
     `test_criterion_6_arity_5_and_pathwidth_4_up_to_n200` ties that to the build.
-    It accepts what `check_hypergraph_decomposition` accepts (bits in range,
-    each entering one bag, non-empty scopes each in a bag, found via `held`
-    as n - 1's bags recur at n); that explainer only words a rejection."""
+    It accepts what the library rule `check_hypergraph_decomposition` accepts
+    (bits in range, each entering one bag, non-empty scopes each in a bag, via
+    `held` as n - 1's bags recur at n), which it calls only to word a rejection."""
     held: dict[tuple[int, ...], frozenset[int]] = {}  # scope -> last bag holding it
 
     def fault(n):

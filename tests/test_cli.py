@@ -253,6 +253,27 @@ def test_an_unwritable_trace_path_fails_before_the_walk(
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["ascend", "--family", "2by3", "--n", "4", "--trace="], "--trace"),
+        (["ascend", "--family", "2by3", "--n", "4", "--instance="], "--instance"),
+        (["ascend", "--family", "2by3", "--n", "4", "--start="], "--start"),
+        (["gen", "--family", "2by3", "--n", "4", "--out="], "--out"),
+    ],
+    ids=["trace", "instance", "start", "out"],
+)
+def test_an_empty_path_option_exits_2_naming_the_option(capsys, monkeypatch, argv, option):
+    # An empty path is neither ignored (no trace, or the family run in place
+    # of an instance) nor opened as the working directory.
+    import ascentlab.cli as cli
+
+    monkeypatch.setattr(cli, "build_family", _must_not_run)
+    code, out, err = run(capsys, *argv)
+    _assert_usage_error(code, out, err)
+    assert err == f"error: argument {option}: needs a path, got ''\n"
+
+
 _REMOVE = object()
 
 

@@ -352,6 +352,15 @@ def test_out_of_range_bag_variable():
     assert not report.ok and "unknown variable" in report.violation
 
 
+def test_the_first_variable_past_the_end_is_unknown_and_an_unlabelled_scope_is_named():
+    inst = build_2by3(2)  # variables 0 and 1
+    report = check_path_decomposition(inst, PathDecomposition((frozenset({0, 1, 2}),)))
+    assert report.violation == "bag 0 contains unknown variable 2"
+    unlabelled = VcspInstance(inst.domains, (ValuedConstraint((0, 1), (0,) * 6),))
+    report = check_path_decomposition(unlabelled, PathDecomposition(({0}, {1})))
+    assert report.violation == "scope of scope [0, 1] ([0, 1]) is not inside any bag"
+
+
 # -- serialization -----------------------------------------------------------------------
 
 
