@@ -36,7 +36,7 @@ print(f"steepest walk from {''.join(map(str, start))}: "
 
 base = build_2by3(n)
 sim = simulate_ascent(ordered_ascent(base, canonical_start("2by3", n)), ExpandedLandscape(base))
-decoded = codec.decode_walk(greedy)
+decoded = list(codec.decode_walk(greedy))
 print(f"decoded walk equals the predicted simulation: {decoded == [list(s) for s in sim.states()]}")
 
 print()

@@ -312,6 +312,7 @@ class ExpandedDomain:
     spec: DomainSpec
 
     @classmethod
+    @cache
     def of(cls, base: DomainSpec) -> "ExpandedDomain":
         pairs = tuple(sorted(base.transitions))
         labels = list(base.states)
@@ -333,10 +334,6 @@ class ExpandedDomain:
 
     def pair_of(self, s: int) -> tuple[int, int]:
         return self.pairs[s - self.base.size]
-
-
-# The chain's two base domains, expanded once for every build.
-_EXPANDED = {d: ExpandedDomain.of(d) for d in (TWO_STATE, THREE_STATE)}
 
 
 class ExpandedLandscape:
@@ -505,7 +502,7 @@ def pad(base: VcspInstance) -> VcspInstance:
     """
     n = base.n_vars
     scale = 2 * n + 1
-    doms = tuple(map({d: ExpandedDomain.of(d) for d in set(base.domains)}.get, base.domains))
+    doms = tuple(map(ExpandedDomain.of, base.domains))
     sizes = tuple(d.spec.size for d in doms)
 
     def spread(scope: tuple[int, ...], over: Sequence[int], of: tuple[int, ...]) -> list[int]:
@@ -606,10 +603,10 @@ class BooleanCodec:
         """Per collection: its state id, or None for junk."""
         return [c.decode(code) for c, code in zip(self.collections, self.split(bits))]
 
-    def decode_walk(self, trace: AscentTrace) -> list[list[int | None]]:
+    def decode_walk(self, trace: AscentTrace) -> Iterator[list[int | None]]:
         """`decode_states` of every assignment a recorded walk visits, start
-        first.  The start is decoded in full; each step then decodes only the
-        collection that holds the moved bit."""
+        first, one fresh list at a time: the start in full, then per step only
+        the collection that holds the moved bit.  Refuses a summary-mode trace."""
         if trace.steps is None:
             raise ValueError("trace was recorded in summary mode; no steps to replay")
         # {bit: index of the collection holding it}
@@ -618,17 +615,17 @@ class BooleanCodec:
             for bit in range(c.offset, c.offset + c.width):
                 owner[bit] = i
         bits = list(trace.start)
-        states = self.decode_states(bits)
-        walk = [states]
-        for rec in trace.steps:
+
+        def step(states: list[int | None], rec: StepRecord) -> list[int | None]:
             bits[rec.var] = rec.dst
             states = states.copy()
             i = owner.get(rec.var)
             if i is not None:
                 c = self.collections[i]
                 states[i] = c.decode(tuple(bits[c.offset : c.offset + c.width]))
-            walk.append(states)
-        return walk
+            return states
+
+        return itertools.accumulate(trace.steps, step, initial=self.decode_states(bits))
 
     def to_json(self) -> dict:
         return {
@@ -675,7 +672,7 @@ def _pw4_codes(dom: ExpandedDomain) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 # The codes of each expanded chain domain, keyed by its base domain.
-_PW4_CODES = {d: _pw4_codes(e) for d, e in _EXPANDED.items()}
+_PW4_CODES = {d: _pw4_codes(ExpandedDomain.of(d)) for d in (TWO_STATE, THREE_STATE)}
 
 
 # The intermediate codes that the constraints key on: the two dual codes of
@@ -692,7 +689,7 @@ _DUAL_RIGHT = tuple(DUAL_ROW[code] for code, _ in _DUAL.codes)
 def _pw4_collection(k: int) -> CollectionCodec:
     """Position k's bit collection, after the 2 + 3 bits of each earlier pair
     of positions."""
-    dom = _EXPANDED[_base_domain(k)]
+    dom = ExpandedDomain.of(_base_domain(k))
     offset = 5 * ((k - 1) // 2) + 2 * ((k - 1) % 2)
     return CollectionCodec(dom.n_main, offset, dom.spec.states, _PW4_CODES[dom.base])
 

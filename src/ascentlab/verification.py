@@ -14,10 +14,11 @@ of n, so one size's instances and walks are gone before the next is built.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ascent import (
     AscentTrace,
@@ -149,6 +150,9 @@ def with_bumped_constraint(instance: VcspInstance, label: str, bump: int = 1) ->
 # A check's fault at one n: None, or its details and counterexample.
 _Fault = tuple[str, dict] | None
 
+# What `_first_difference` reads past the end of the shorter iterable.
+_MISSING = object()
+
 
 def _fmax_recurrence_defect(n_max: int) -> str | None:
     # Doubling consequence of the closed form: appending two positions doubles
@@ -174,20 +178,19 @@ def _each_n(cap: int, fault: Callable[[int], _Fault]) -> tuple[bool, str, dict] 
 
 
 def _first_difference(
-    got: Sequence, want: Sequence, got_end=None, want_end=None
+    got: Iterable, want: Iterable, got_end=None, want_end=None
 ) -> tuple[int, object, object] | None:
-    """The first index where two sequences differ, as `(i, got[i], want[i])`,
-    or None.  When one is a prefix of the other they differ at the shorter
-    length, and the missing side reads None.  Equal sequences differ at
-    `len(got)` when their ends `got_end` and `want_end` do.  Equal items, not
-    equal types, make them equal, so a list can match a range."""
-    if len(got) == len(want) and all(map(operator.eq, got, want)):
-        return None if got_end == want_end else (len(got), got_end, want_end)
-    for i, (g, w) in enumerate(zip(got, want)):
+    """The first index where two iterables differ, as `(i, got_i, want_i)`,
+    or None; both are read once, side by side, and no further.  When one is a
+    prefix of the other they differ at the shorter length, and the missing
+    side reads None.  Equal iterables differ at their length when their ends
+    `got_end` and `want_end` do.  Items, not types, are compared."""
+    i = 0
+    for g, w in itertools.zip_longest(got, want, fillvalue=_MISSING):
         if g != w:
-            return i, g, w
-    i = min(len(got), len(want))
-    return i, got[i] if i < len(got) else None, want[i] if i < len(want) else None
+            return i, None if g is _MISSING else g, None if w is _MISSING else w
+        i += 1
+    return None if got_end == want_end else (i, got_end, want_end)
 
 
 def _retrace_failure(n: int, trace: AscentTrace, codec: BooleanCodec | None, ties: int) -> _Fault:
@@ -203,13 +206,13 @@ def _retrace_failure(n: int, trace: AscentTrace, codec: BooleanCodec | None, tie
     base = build_2by3(n)
     sim = simulate_ascent(ordered_ascent(base, canonical_start("2by3", n)), ExpandedLandscape(base))
     if codec is None:
-        walk, final = [list(x) for x in trace.states()], list(trace.final)
+        walk, final = map(list, trace.states()), list(trace.final)
     else:
         walk, final = codec.decode_walk(trace), codec.decode_states(trace.final)
     final_fitness = trace.final_fitness
     if not trace.terminal:
         final = final_fitness = None
-    diff = _first_difference(walk, [list(x) for x in sim.states()], final, list(sim.final))
+    diff = _first_difference(walk, map(list, sim.states()), final, list(sim.final))
     if diff is not None:
         i, got, want = diff
         details = f"decoded walk diverges at state {i}"

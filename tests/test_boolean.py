@@ -228,9 +228,20 @@ def test_decode_walk_decodes_every_visited_state():
     inst, codec, _, start = build_boolean_pw4(3)
     for x in inst.all_assignments():
         for tr in (steepest_ascent(inst, x), ordered_ascent(inst, x)):
-            assert codec.decode_walk(tr) == [codec.decode_states(b) for b in tr.states()]
+            assert list(codec.decode_walk(tr)) == [codec.decode_states(b) for b in tr.states()]
     with pytest.raises(ValueError, match="summary mode"):
         codec.decode_walk(steepest_ascent(inst, start, record_steps=False))
+
+
+def test_decode_walk_yields_a_fresh_list_per_state():
+    # A retrace failure keeps the decoded state it diverged at as its
+    # counterexample, so reading on must not change a state already yielded.
+    inst, codec, _, start = build_boolean_pw4(3)
+    tr = steepest_ascent(inst, start)
+    kept = [(states, list(states)) for states in codec.decode_walk(tr)]
+    assert len(kept) == tr.length + 1
+    assert all(states == copy for states, copy in kept)
+    assert len({id(states) for states, _ in kept}) == len(kept)
 
 
 def test_codec_json_shape():

@@ -451,14 +451,25 @@ def test_a_walk_past_a_better_neighbour_fails_the_simulation_check(monkeypatch):
     assert report.counterexample == {"n": 3, "step": 0, "witness": (2, 2)}
 
 
+def once(items, last=None):
+    """A one-shot iterator over `items` that fails if read past index `last`."""
+    for i, item in enumerate(items):
+        yield item
+        if i == last:
+            raise AssertionError(f"read past item {last}")
+
+
 def test_first_difference_reads_items_not_types():
-    # The length check compares a walk's fitness list with a range.
+    # The length check compares a walk's fitness list with a range.  The
+    # retrace check passes one-shot views of its walks, so each side is read
+    # once and no further than the first difference.
     first_difference = verification._first_difference
-    assert first_difference([1, 2, 3], range(1, 4)) is None
-    assert first_difference([1, 5, 3], range(1, 4)) == (1, 5, 2)
-    assert first_difference([1, 2], range(1, 4)) == (2, None, 3)
-    assert first_difference([1, 2, 3, 4], range(1, 4)) == (3, 4, None)
-    assert first_difference([[0, 1], [1]], [[0, 1], [1]]) is None
+    assert first_difference(once([1, 2, 3]), once(range(1, 4))) is None
+    assert first_difference(once([1, 5, 3], 1), once(range(1, 4), 1)) == (1, 5, 2)
+    assert first_difference(once([1, 2]), once(range(1, 4), 2)) == (2, None, 3)
+    assert first_difference(once([1, 2, 3, 4], 3), once(range(1, 4))) == (3, 4, None)
+    assert first_difference(once([[0, 1], [1]]), once([[0, 1], [1]])) is None
+    assert first_difference(once([1]), once([1]), [2], [3]) == (1, [2], [3])
 
 
 @pytest.mark.parametrize(
