@@ -12,7 +12,7 @@ variables relabelled by it (variable i of the relabelled instance is
 variable order[i]).
 
 Steepest and ordered ascent read each variable's best move from one per-walk
-helper, `_Blankets`.  A variable's best move depends only on its own state
+helper, `_blankets`.  A variable's best move depends only on its own state
 and its blanket `var_neighbors(k)`, so the helper memoises it under an
 incrementally updated key over those states.  All variables share one memo:
 each key is shifted past the key spaces (size times blanket sizes) of the
@@ -38,7 +38,8 @@ random scan order lazily, so a step pays only for the moves it tests.
 The verifiers and the oracle also need `_fitness(x)`, the unchecked
 evaluation of an assignment they have validated, and `_reference_delta(x, k,
 t)`, and share neither `_delta` nor the memo with the engines.  They check a
-trace's start and moves, then evaluate every visited state from scratch.
+trace's start and moves, then evaluate every visited state from scratch, and
+only then apply a policy's step rule to each step.
 Every scan of a state's moves is `_improving_move(landscape, x, above)`, the
 first permitted move, ascending by (k, t), whose `_reference_delta` exceeds
 `above`: 0 at the terminal state and at each ordered step (whose first
@@ -170,8 +171,9 @@ class _Sparse(dict):
     __getitem__ = dict.get
 
 
-class _Blankets:
-    """Per-walk best-move entries for every variable of the live assignment `x`.
+def _blankets(landscape, x: list[int]):
+    """Per-walk best-move entries for every variable of the live assignment
+    `x`, as `(scan, keys, deps, memo)`.
 
     An entry is `(best gain, lowest argmax target, #argmax, #improving)` over
     the variable's permitted moves, with gain 0 and target -1 when no move
@@ -188,57 +190,48 @@ class _Blankets:
     may have changed.  Steepest ascent looks up each such d's entry in the
     same pass and keeps the improving entries' gains beside the memo.
     """
+    delta = landscape._delta
+    adjacent = [d.adjacent for d in landscape.domains]
 
-    __slots__ = ("scan", "keys", "deps", "memo")
+    def scan(k: int) -> tuple[int, int, int, int]:
+        s = x[k]
+        best_gain = 0
+        best_t = -1
+        n_best = 0
+        improving = 0
+        for t in adjacent[k](s):
+            g = delta(x, k, s, t)
+            if g > 0:
+                improving += 1
+                if g > best_gain:
+                    best_gain = g
+                    best_t = t
+                    n_best = 1
+                elif g == best_gain:
+                    n_best += 1
+        return best_gain, best_t, n_best, improving
 
-    def __init__(self, landscape, x: list[int]):
-        delta = landscape._delta
-        adjacent = [d.adjacent for d in landscape.domains]
-        n = len(adjacent)
-
-        def scan(k: int) -> tuple[int, int, int, int]:
-            s = x[k]
-            best_gain = 0
-            best_t = -1
-            n_best = 0
-            improving = 0
-            for t in adjacent[k](s):
-                g = delta(x, k, s, t)
-                if g > 0:
-                    improving += 1
-                    if g > best_gain:
-                        best_gain = g
-                        best_t = t
-                        n_best = 1
-                    elif g == best_gain:
-                        n_best += 1
-            return best_gain, best_t, n_best, improving
-
-        self.scan = scan
-        get_nbrs = landscape.var_neighbors
-        sizes = [d.size for d in landscape.domains]
-        deps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        keys = []
-        total = 0
-        for k, s in enumerate(x):
-            deps[k].append((k, 1))
-            w = sizes[k]
-            for j in get_nbrs(k):
-                deps[j].append((k, w))
-                s += x[j] * w
-                w *= sizes[j]
-            keys.append(total + s)
-            total += w
-        self.keys = keys
-        self.deps = deps
-        self.memo = [None] * total if total <= _TABLE_SLOTS else _Sparse()
+    get_nbrs = landscape.var_neighbors
+    sizes = [d.size for d in landscape.domains]
+    deps: list[list[tuple[int, int]]] = [[] for _ in sizes]
+    keys = []
+    total = 0
+    for k, s in enumerate(x):
+        deps[k].append((k, 1))
+        w = sizes[k]
+        for j in get_nbrs(k):
+            deps[j].append((k, w))
+            s += x[j] * w
+            w *= sizes[j]
+        keys.append(total + s)
+        total += w
+    return scan, keys, deps, [None] * total if total <= _TABLE_SLOTS else _Sparse()
 
 
 def _steepest_moves(landscape, x: list[int]):
     """Steepest ascent's moves, each taken from the improving set
     `improving`, which maps each variable whose entry improves to its gain."""
-    b = _Blankets(landscape, x)
-    scan, keys, deps, memo = b.scan, b.keys, b.deps, b.memo
+    scan, keys, deps, memo = _blankets(landscape, x)
     improving: dict[int, int] = {}
     for k, key in enumerate(keys):
         e = memo[key] = scan(k)
@@ -300,8 +293,7 @@ def _ordered_moves(landscape, x: list[int]):
     `deps[k]`; a non-improving key stores `()`.  Every improving record found
     is applied; steepest ascent applies few of its entries, so it keeps plain
     ones."""
-    b = _Blankets(landscape, x)
-    scan, keys, deps, memo = b.scan, b.keys, b.deps, b.memo
+    scan, keys, deps, memo = _blankets(landscape, x)
     # After moving k, only the variables in deps[k] can change their improving
     # status, so the scan resumes at the lowest of them.
     back = [min(d for d, _ in dk) for dk in deps]
@@ -424,11 +416,10 @@ def _improving_move(landscape, x: tuple[int, ...], above: int = 0) -> tuple[int,
     return None
 
 
-def _checked_walk(
-    landscape, trace: AscentTrace
-) -> tuple[list[tuple[int, ...]], list[int]] | AscentViolation:
-    """`verify_ascent`'s checks; when they pass, the replayed states and
-    their fitness values, each recomputed from scratch."""
+def _checked_walk(landscape, trace: AscentTrace, rule=None) -> AscentViolation | None:
+    """`verify_ascent`'s checks, then `rule(i, rec, x, f, f_after)` on each
+    step i from state x, whose fitness values before and after the step are
+    recomputed from scratch; the first violation found, else None."""
     if trace.steps is None:
         return AscentViolation(-1, "trace has no recorded steps")
     try:
@@ -441,9 +432,7 @@ def _checked_walk(
         if not (0 <= rec.var < len(landscape.domains)):
             return AscentViolation(i, f"variable {rec.var} out of range")
         if x[rec.var] != rec.src:
-            return AscentViolation(
-                i, f"step source {rec.src} does not match state {x[rec.var]}"
-            )
+            return AscentViolation(i, f"step source {rec.src} does not match state {x[rec.var]}")
         if not landscape.domains[rec.var].allows(rec.src, rec.dst):
             return AscentViolation(
                 i, f"move {rec.src}->{rec.dst} at variable {rec.var} is not permitted"
@@ -455,9 +444,7 @@ def _checked_walk(
     for i, rec in enumerate(trace.steps):
         f = landscape._fitness(states[i + 1])
         if f != rec.fitness_after:
-            return AscentViolation(
-                i, f"recorded fitness {rec.fitness_after} != actual {f}"
-            )
+            return AscentViolation(i, f"recorded fitness {rec.fitness_after} != actual {f}")
         if f <= fits[-1]:
             return AscentViolation(i, f"fitness did not strictly increase ({fits[-1]} -> {f})")
         fits.append(f)
@@ -469,7 +456,12 @@ def _checked_walk(
             return AscentViolation(
                 len(states) - 1, "terminal trace does not end at a local solution", witness=move[:2]
             )
-    return states, fits
+    if rule is not None:
+        for i, rec in enumerate(trace.steps):
+            violation = rule(i, rec, states[i], fits[i], fits[i + 1])
+            if violation is not None:
+                return violation
+    return None
 
 
 def verify_ascent(landscape, trace: AscentTrace) -> AscentViolation | None:
@@ -478,8 +470,7 @@ def verify_ascent(landscape, trace: AscentTrace) -> AscentViolation | None:
     Every visited state's fitness is recomputed from scratch; the terminal
     state's moves are scored with `_reference_delta`.
     """
-    walk = _checked_walk(landscape, trace)
-    return walk if isinstance(walk, AscentViolation) else None
+    return _checked_walk(landscape, trace)
 
 
 def verify_steepest(landscape, trace: AscentTrace) -> AscentViolation | None:
@@ -490,21 +481,18 @@ def verify_steepest(landscape, trace: AscentTrace) -> AscentViolation | None:
     `_reference_delta`, the change of the constraints on the moved variable
     read from their raw tensors, exceeds the step's gain.
     """
-    walk = _checked_walk(landscape, trace)
-    if isinstance(walk, AscentViolation):
-        return walk
-    states, fits = walk
-    for i in range(len(states) - 1):
-        move = _improving_move(landscape, states[i], fits[i + 1] - fits[i])
+
+    def rule(i, rec, x, f, f_after):
+        move = _improving_move(landscape, x, f_after - f)
         if move is not None:
             k, t, d = move
             return AscentViolation(
-                i,
-                f"neighbor (var {k} -> state {t}) has fitness {fits[i] + d} "
-                f"> chosen {fits[i + 1]}",
+                i, f"neighbor (var {k} -> state {t}) has fitness {f + d} > chosen {f_after}",
                 witness=(k, t),
             )
-    return None
+        return None
+
+    return _checked_walk(landscape, trace, rule)
 
 
 def verify_ordered(landscape, trace: AscentTrace) -> AscentViolation | None:
@@ -516,20 +504,17 @@ def verify_ordered(landscape, trace: AscentTrace) -> AscentViolation | None:
     improving move, scored with `_reference_delta` from the raw tensors, must
     not be on a variable below the step's.
     """
-    walk = _checked_walk(landscape, trace)
-    if isinstance(walk, AscentViolation):
-        return walk
-    states = walk[0]
-    for i, rec in enumerate(trace.steps):
-        move = _improving_move(landscape, states[i])
+
+    def rule(i, rec, x, f, f_after):
+        move = _improving_move(landscape, x)
         if move is not None and move[0] < rec.var:
             j, u, _ = move
             return AscentViolation(
-                i,
-                f"earlier variable {j} had an improving move to state {u}",
-                witness=(j, u),
+                i, f"earlier variable {j} had an improving move to state {u}", witness=(j, u)
             )
-    return None
+        return None
+
+    return _checked_walk(landscape, trace, rule)
 
 
 # -- trace serialization --------------------------------------------------------

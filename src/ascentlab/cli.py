@@ -1,13 +1,15 @@
 """Command-line front end: generate instances, run ascents, verify claims.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
-3 step limit reached before a local solution.
+Exit codes: 0 success, 1 verification failure, 2 usage or I/O error or
+running out of memory, 3 step limit reached before a local solution, 141
+stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -22,7 +24,6 @@ from .constructions import (
 )
 from .model import (
     BuildError,
-    ModelError,
     decomposition_to_json,
     load_instance,
     read_json,
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_STEP_LIMIT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command that SIGPIPE ended
 
 # The walks `ascend` runs, by `--engine`.
 _ENGINES = {"steepest": steepest_ascent, "ordered": ordered_ascent}
@@ -233,26 +235,37 @@ def _cmd_verify(args) -> int:
     names = CHECK_NAMES if check == "all" else (check,)
     all_ok = True
     for name in names:
-        report = run_check(name, caps)
+        try:
+            report = run_check(name, caps)
+        except MemoryError:
+            report = None
+        if report is None:
+            # Raised past the handler, so the failed check's memory is freed first.
+            raise MemoryError(f"check {name!r} ran out of memory")
         print(json.dumps(report.to_json()))
         all_ok = all_ok and report.passed
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+
+
+_COMMANDS = {"gen": _cmd_gen, "ascend": _cmd_ascend, "verify": _cmd_verify}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "ascend":
-            return _cmd_ascend(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-    except (ModelError, OSError, ValueError) as exc:
-        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # As Python's SIGPIPE note does: stdout goes to devnull, so the flush at
+        # exit finds no closed pipe to raise on again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except (MemoryError, OSError, ValueError) as exc:
+        message = str(exc) or type(exc).__name__
+        print(f"error: {message.translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from ascentlab import (
     verify_steepest,
 )
 from ascentlab import ascent
-from ascentlab.ascent import StepRecord, _Blankets, _Sparse
+from ascentlab.ascent import StepRecord, _Sparse, _blankets
 from ascentlab.verification import padding_violation
 from relabelling import relabel
 
@@ -141,15 +141,15 @@ def test_sparse_memo_walks_as_the_table(monkeypatch, make):
     walks = [steepest_ascent(landscape, start), ordered_ascent(landscape, start)]
     assert all(w.length > 0 for w in walks)
     monkeypatch.setattr(ascent, "_TABLE_SLOTS", 0)
-    assert type(_Blankets(landscape, list(start)).memo) is _Sparse
+    assert type(_blankets(landscape, list(start))[3]) is _Sparse
     assert [steepest_ascent(landscape, start), ordered_ascent(landscape, start)] == walks
 
 
 def test_chain_families_tabulate_and_random_blankets_stay_sparse():
     for inst in (build_3by5(200), build_family("bool-pw4", 200)):
-        assert type(_Blankets(inst, [0] * inst.n_vars).memo) is list
+        assert type(_blankets(inst, [0] * inst.n_vars)[3]) is list
     inst, start = _random_vcsp(17)
-    assert type(_Blankets(inst, list(start)).memo) is _Sparse
+    assert type(_blankets(inst, list(start))[3]) is _Sparse
 
 
 def test_ordered_prefers_the_earliest_variable():
@@ -295,6 +295,29 @@ def test_verify_ordered_rejects_steepest_trace():
     inst = build_2by3(2)
     bad = verify_ordered(inst, steepest_ascent(inst, (A, A)))
     assert bad is not None and bad.step == 0 and bad.witness[0] == 0
+
+
+def test_verifiers_check_the_whole_walk_before_the_step_rule():
+    # Each walk breaks the other policy's rule at step 0 and has a wrong last
+    # fitness; the walk's own checks run first, so the fitness is reported.
+    inst = build_2by3(4)
+    start = canonical_start("2by3", 4)
+    cases = ((ordered_ascent, verify_steepest, 21), (steepest_ascent, verify_ordered, 7))
+    for engine, verify, step in cases:
+        tr = engine(inst, start)
+        assert verify(inst, tr).step == 0
+        *steps, last = tr.steps
+        last = last._replace(fitness_after=last.fitness_after + 1)
+        bad = dataclasses.replace(tr, steps=(*steps, last))
+        v = verify(inst, bad)
+        assert (v.step, v.reason) == (step, "recorded fitness 23 != actual 22")
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_bool_pw4_engine_walk_is_a_steepest_ascent(n):
+    # verify --check boolean trusts the engine's steepest walk on bool-pw4.
+    inst = build_family("bool-pw4", n)
+    assert verify_steepest(inst, steepest_ascent(inst, canonical_start("bool-pw4", n))) is None
 
 
 def test_single_variable_ascents_are_ordered():

@@ -710,3 +710,43 @@ def test_python_dash_m_runs_the_cli():
     done = module("verify", "--check", "nope")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_141_and_prints_nothing(buffered):
+    src = Path(ascentlab.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ascentlab", "verify", "--check", "rank1"],
+            env={**env, "PYTHONPATH": str(src)},
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
+def test_running_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
+    from ascentlab import verification
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(verification, "check_boolean", exhausted)
+    code, out, err = run(capsys, "verify", "--check", "all")
+    names = [json.loads(line)["name"] for line in out.splitlines()]
+    assert (code, names) == (2, ["ordered-length", "simulation", "padding"])
+    assert err == "error: check 'boolean' ran out of memory\n"
+
+    import ascentlab.cli as cli
+
+    monkeypatch.setattr(cli, "_run_engine", exhausted)
+    assert run(capsys, "ascend", "--family", "2by3", "--n", "3") == (2, "", "error: MemoryError\n")
