@@ -7,8 +7,11 @@ carry a concrete counterexample.  `check_pathwidth` reads the hypergraph of
 the `bool-pw4` builder's rows; `test_criterion_6_arity_5_and_pathwidth_4_up_to_n200`
 ties it to the full build.  `3by5` and `bool-pw4` encode one padded
 chain, so each of their two claims has one checker that only decodes them
-differently: `padding_violation` and `_retrace_failure`.  `_each_n` is the
-one loop over n = 2..cap of the capped checks: each hands it a fault function
+differently: `padding_violation` and `_retrace_failure`.  The retrace
+records no walk: it compares each move of the steepest engine
+(`_steepest_walk`) with the doubled ordered walk (`_doubled_walk`) as both
+are made, so its memory does not grow with the walk.  `_each_n` is the one
+loop over n = 2..cap of the capped checks: each hands it a fault function
 of n, so one size's instances and walks are gone before the next is built.
 """
 
@@ -23,6 +26,8 @@ from typing import Callable, Iterable, Sequence
 from .ascent import (
     AscentTrace,
     StepRecord,
+    _ordered_moves,
+    _steepest_moves,
     ordered_ascent,
     steepest_ascent,
     verify_steepest,
@@ -37,7 +42,6 @@ from .constructions import (
     build_boolean_pw4,
     canonical_start,
     f_max,
-    simulate_ascent,
 )
 from .model import (
     ValuedConstraint,
@@ -193,37 +197,92 @@ def _first_difference(
     return None if got_end == want_end else (i, got_end, want_end)
 
 
-def _retrace_failure(n: int, trace: AscentTrace, codec: BooleanCodec | None, ties: int) -> _Fault:
-    """The fault, as `_each_n` takes it, when a steepest walk on a padded
-    encoding of 2by3(n), its states decoded by `codec` (None: no decoding),
-    does not retrace the doubled walk in length, states, fitness values and
-    end, or does not tie on exactly `ties` steps; else None.  The doubled
-    walk is the ordered 2by3(n) walk from the canonical start, doubled onto
-    the expanded landscape.  A walk that is not terminal has no end: None."""
-    length, doubled = trace.length, 2 * f_max(n)
-    if length != doubled:
+def _steepest_walk(instance: VcspInstance, start: Sequence[int]):
+    """Steepest ascent from `start`, as `steepest_ascent` walks it, on a copy
+    of `start`: each applied move as `(var, dst, fitness_after, tied)`, none
+    recorded."""
+    x = list(start)
+    f = instance.fitness(x)
+    for k, t, gain, tied, _ in _steepest_moves(instance, x):
+        x[k] = t
+        f += gain
+        yield k, t, f, tied
+
+
+def _doubled_walk(landscape: ExpandedLandscape):
+    """The ordered walk of `landscape.base` from its canonical start, doubled
+    onto the landscape: each base move (k, u -> v) as `(k, σ(u, v), fitness)`
+    then `(k, v, fitness)`, valued by `_padded`.  The base fitness is
+    evaluated from scratch at the start, then summed from `_reference_delta`
+    gains: the engine's `_delta` and memo only pick the moves."""
+    base, scale = landscape.base, landscape.scale
+    y = list(canonical_start("2by3", base.base_n))
+    f = base._fitness(y)
+    for k, v, *_ in _ordered_moves(base, y):
+        g = base._reference_delta(y, k, v)
+        yield k, landscape.doms[k].sigma_id(y[k], v), landscape._padded((k,), (f, f + g))
+        y[k] = v
+        f += g
+        yield k, v, scale * f
+
+
+def _retrace_failure(
+    n: int, instance: VcspInstance, start: Sequence[int], codec: BooleanCodec | None, ties: int
+) -> _Fault:
+    """The fault, as `_each_n` takes it, when the steepest walk of `instance`
+    from `start`, a padded encoding of 2by3(n) decoded by `codec` (None: no
+    decoding), does not retrace `_doubled_walk` in length, states and fitness
+    values, or does not tie on exactly `ties` steps; else None.  One pass
+    reads `_steepest_walk` to its end beside the live reference, decoding per
+    move only the collection that holds the moved bit, as `decode_walk` does.
+    It keeps only the first diverging state, where a side that ran out reads
+    None, and the first diverging fitness value, where the walk's end counts
+    as step 2·f_max(n) against the reference's end evaluated from scratch."""
+    landscape = ExpandedLandscape(build_2by3(n))
+    bits, want = list(start), list(canonical_start("2by3", n))
+    got, owner = bits, None
+    if codec is not None:
+        got, cs = codec.decode_states(bits), codec.collections
+        owner = {b: (i, c) for i, c in enumerate(cs) for b in range(c.offset, c.offset + c.width)}
+    reference = _doubled_walk(landscape)
+    state = None if got == want else (0, got, want)
+    fitness = f = None
+    length = tied = 0
+    for var, dst, f, was_tied in _steepest_walk(instance, start):
+        length += 1
+        tied += was_tied
+        if state is not None:
+            continue
+        bits[var] = dst
+        if owner is not None:
+            i, c = owner[var]
+            got[i] = c.decode(tuple(bits[c.offset : c.offset + c.width]))
+        step = next(reference, None)
+        if step is None:
+            state = (length, got, None)
+            continue
+        want[step[0]] = step[1]
+        if got != want:
+            state = (length, got, want)
+        elif fitness is None and f != step[2]:
+            fitness = (length - 1, f, step[2])
+    if state is None:
+        step = next(reference, None)
+        if step is not None:
+            want[step[0]] = step[1]
+            state = (length + 1, None, want)
+        elif fitness is None and f != (expected := landscape._fitness(want)):
+            fitness = (length, f, expected)  # f is the walk's end
+    if length != (doubled := 2 * f_max(n)):
         return f"length {length} != {doubled}", {"n": n, "length": length, "expected": doubled}
-    base = build_2by3(n)
-    sim = simulate_ascent(ordered_ascent(base, canonical_start("2by3", n)), ExpandedLandscape(base))
-    if codec is None:
-        walk, final = map(list, trace.states()), list(trace.final)
-    else:
-        walk, final = codec.decode_walk(trace), codec.decode_states(trace.final)
-    final_fitness = trace.final_fitness
-    if not trace.terminal:
-        final = final_fitness = None
-    diff = _first_difference(walk, map(list, sim.states()), final, list(sim.final))
-    if diff is not None:
-        i, got, want = diff
+    if state is not None:
+        i, got, want = state
         details = f"decoded walk diverges at state {i}"
         return details, {"n": n, "state": i, "decoded": got, "expected": want}
-    diff = _first_difference(
-        trace.fitness_values(), sim.fitness_values(), final_fitness, sim.final_fitness
-    )
-    if diff is not None:
-        i, got, want = diff
+    if fitness is not None:
+        i, got, want = fitness
         return f"fitness diverges at step {i}", {"n": n, "step": i, "got": got, "expected": want}
-    if (tied := trace.tie_steps) != ties:
+    if tied != ties:
         return f"{tied} tied steps != {ties}", {"n": n, "tie_steps": tied, "expected": ties}
     return None
 
@@ -268,11 +327,10 @@ def check_simulation(n_max: int, verify_max: int) -> CheckReport:
     ordered ascent move for move, with a unique argmax at every step."""
 
     def fault(n):
-        inst = build_3by5(n)
-        trace = steepest_ascent(inst, canonical_start("3by5", n))
-        failure = _retrace_failure(n, trace, None, 0)
+        inst, start = build_3by5(n), canonical_start("3by5", n)
+        failure = _retrace_failure(n, inst, start, None, 0)
         if failure is None and n <= verify_max:
-            bad = verify_steepest(inst, trace)
+            bad = verify_steepest(inst, steepest_ascent(inst, start))
             if bad is not None:
                 details = f"full re-verification failed: {bad.reason}"
                 return details, {"n": n, "step": bad.step, "witness": bad.witness}
@@ -341,7 +399,7 @@ def check_boolean(n_equiv: int, n_traj: int) -> CheckReport:
         inst, codec, _, start = build_boolean_pw4(n)
         h = n // 2
         ties = 3 * 2**h - 3 if n % 2 == 0 else 2 ** (h + 2) - 3
-        return _retrace_failure(n, steepest_ascent(inst, start), codec, ties)
+        return _retrace_failure(n, inst, start, codec, ties)
 
     def body():
         return (

@@ -669,17 +669,14 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
 
 
 def test_verify_reports_a_short_reference_walk(capsys, monkeypatch):
-    import dataclasses
-
     from ascentlab import verification
 
-    real = verification.ordered_ascent
+    real = verification._doubled_walk
 
-    def truncated(*args, **kwargs):
-        trace = real(*args, **kwargs)
-        return dataclasses.replace(trace, steps=trace.steps[:-1], length=trace.length - 1)
+    def truncated(landscape):
+        yield from list(real(landscape))[:-2]  # the last base move's two doubled moves
 
-    monkeypatch.setattr(verification, "ordered_ascent", truncated)
+    monkeypatch.setattr(verification, "_doubled_walk", truncated)
     code, out, err = run(
         capsys, "verify", "--check", "boolean", "--cap", "boolean-equiv=2", "--cap", "boolean=3"
     )

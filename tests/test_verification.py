@@ -6,6 +6,7 @@ import dataclasses
 import json
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -246,14 +247,20 @@ def test_every_boolean_bump_off_the_penalty_breaks_the_equivalence(n):
 
 @pytest.fixture
 def truncated_reference(monkeypatch):
-    """Make every ordered walk the checks take drop its last recorded step."""
-    real = verification.ordered_ascent
+    """Make every ordered walk the checks take drop its last move: the
+    recorded walk of the length check, and the live doubled walk of the
+    retrace checks, which loses that move's two doubled moves."""
+    real_ordered, real_doubled = verification.ordered_ascent, verification._doubled_walk
 
     def truncated(*args, **kwargs):
-        trace = real(*args, **kwargs)
+        trace = real_ordered(*args, **kwargs)
         return dataclasses.replace(trace, steps=trace.steps[:-1], length=trace.length - 1)
 
+    def truncated_doubled(landscape):
+        yield from list(real_doubled(landscape))[:-2]
+
     monkeypatch.setattr(verification, "ordered_ascent", truncated)
+    monkeypatch.setattr(verification, "_doubled_walk", truncated_doubled)
 
 
 def test_a_short_ordered_walk_fails_the_length_check(truncated_reference):
@@ -307,32 +314,14 @@ def test_a_broken_equivalence_fails_the_boolean_check(monkeypatch):
 
 
 def test_a_changed_tie_count_fails_the_boolean_check(monkeypatch):
-    real = verification.steepest_ascent
-
-    def one_more_tie(inst, start):
-        trace = real(inst, start)
-        if len(start) == 7:  # n = 3
-            trace = dataclasses.replace(trace, tie_steps=trace.tie_steps + 1)
-        return trace
-
-    monkeypatch.setattr(verification, "steepest_ascent", one_more_tie)
+    _tamper_walk(monkeypatch, _one_more_tie)
     report = check_boolean(2, 4)
     assert not report.passed
     assert report.counterexample == {"n": 3, "tie_steps": 6, "expected": 5}
 
 
 def test_a_diverging_decoded_walk_fails_the_boolean_check(monkeypatch):
-    real = verification.steepest_ascent
-
-    def planted(inst, start):
-        trace = real(inst, start)
-        if len(start) == 7:  # n = 3: step 4 leaves its bit unflipped
-            steps = list(trace.steps)
-            steps[4] = steps[4]._replace(dst=steps[4].src)
-            trace = dataclasses.replace(trace, steps=tuple(steps))
-        return trace
-
-    monkeypatch.setattr(verification, "steepest_ascent", planted)
+    _tamper_walk(monkeypatch, _unmoved_at_step_4)  # step 4 leaves its bit unflipped
     report = check_boolean(2, 4)
     assert not report.passed
     assert report.details == "n=3: decoded walk diverges at state 5"
@@ -344,55 +333,76 @@ def test_a_diverging_decoded_walk_fails_the_boolean_check(monkeypatch):
     }
 
 
-# -- every failure branch, planted through the engine or builder a check uses -------
+# -- every failure branch, planted through the walk, reference or builder a check uses ---
 
 
-def _at_step_4(trace, fields):
-    steps = list(trace.steps)
-    steps[4] = steps[4]._replace(**fields(steps[4]))
-    return dataclasses.replace(trace, steps=tuple(steps))
+def _tamper_walk(monkeypatch, tamper):
+    """Make every n = 3 steepest walk the retrace checks read yield
+    `tamper(moves, start)` in place of its list of moves."""
+    real = verification._steepest_walk
+
+    def planted(inst, start):
+        moves = real(inst, start)
+        return iter(tamper(list(moves), start)) if inst.base_n == 3 else moves
+
+    monkeypatch.setattr(verification, "_steepest_walk", planted)
 
 
-# Each fault a steepest walk can carry, applied to the n = 3 walk, and the
-# details and counterexample it must be reported with, given the tie count
-# the check expects.  Both padded encodings of 2by3 must give the same
-# report, since one check compares each against the doubled ordered walk.
+def _unmoved_at_step_4(moves, start):
+    x = list(start)
+    for var, dst, _, _ in moves[:4]:
+        x[var] = dst
+    var, _, fitness, tied = moves[4]
+    moves[4] = (var, x[var], fitness, tied)
+    return moves
+
+
+def _bumped_at_step_4(moves, start):
+    var, dst, fitness, tied = moves[4]
+    moves[4] = (var, dst, fitness + 1, tied)
+    return moves
+
+
+def _one_more_tie(moves, start):
+    i = next(i for i, (_, _, _, tied) in enumerate(moves) if not tied)
+    moves[i] = (*moves[i][:3], True)
+    return moves
+
+
+def _reference_end_off_by_one(monkeypatch):
+    """The doubled walk's end, evaluated from scratch, reads one too many at n = 3."""
+    real = ExpandedLandscape._fitness
+    monkeypatch.setattr(
+        ExpandedLandscape, "_fitness", lambda self, x: real(self, x) + (self.base.base_n == 3)
+    )
+
+
+# Each fault planted on the n = 3 retrace, and the details and counterexample
+# it must be reported with, given the tie count the check expects.  Both
+# padded encodings of 2by3 must give the same report, since one check
+# compares each against the doubled ordered walk.
 RETRACE_FAULTS = {
     "length": (
-        lambda t: dataclasses.replace(t, length=t.length + 1),
+        lambda mp: _tamper_walk(mp, lambda moves, start: moves + moves[-1:]),
         lambda ties: ("length 21 != 20", {"length": 21, "expected": 20}),
     ),
-    "not terminal": (
-        lambda t: dataclasses.replace(t, terminal=False),
-        lambda ties: (
-            "decoded walk diverges at state 21",
-            {"state": 21, "decoded": None, "expected": [1, 0, 1]},
-        ),
-    ),
     "state": (
-        lambda t: _at_step_4(t, lambda rec: {"dst": rec.src}),
+        lambda mp: _tamper_walk(mp, _unmoved_at_step_4),
         lambda ties: (
             "decoded walk diverges at state 5",
             {"state": 5, "decoded": [1, 1, 0], "expected": [2, 1, 0]},
         ),
     ),
     "fitness": (
-        lambda t: _at_step_4(t, lambda rec: {"fitness_after": rec.fitness_after + 1}),
+        lambda mp: _tamper_walk(mp, _bumped_at_step_4),
         lambda ties: ("fitness diverges at step 4", {"step": 4, "got": 18, "expected": 17}),
     ),
-    "final": (
-        lambda t: dataclasses.replace(t, final=t.start),
-        lambda ties: (
-            "decoded walk diverges at state 21",
-            {"state": 21, "decoded": [0, 0, 0], "expected": [1, 0, 1]},
-        ),
-    ),
     "final_fitness": (
-        lambda t: dataclasses.replace(t, final_fitness=t.final_fitness + 1),
-        lambda ties: ("fitness diverges at step 20", {"step": 20, "got": 71, "expected": 70}),
+        _reference_end_off_by_one,
+        lambda ties: ("fitness diverges at step 20", {"step": 20, "got": 70, "expected": 71}),
     ),
     "tie count": (
-        lambda t: dataclasses.replace(t, tie_steps=t.tie_steps + 1),
+        lambda mp: _tamper_walk(mp, _one_more_tie),
         lambda ties: (
             f"{ties + 1} tied steps != {ties}",
             {"tie_steps": ties + 1, "expected": ties},
@@ -409,14 +419,8 @@ RETRACE_CHECKS = {
 @pytest.mark.parametrize("fault", list(RETRACE_FAULTS))
 @pytest.mark.parametrize("check", list(RETRACE_CHECKS))
 def test_a_faulty_steepest_walk_fails_the_retrace_check(monkeypatch, check, fault):
-    real = verification.steepest_ascent
-    tamper, expected = RETRACE_FAULTS[fault]
-
-    def planted(inst, start):
-        trace = real(inst, start)
-        return tamper(trace) if inst.base_n == 3 else trace
-
-    monkeypatch.setattr(verification, "steepest_ascent", planted)
+    plant, expected = RETRACE_FAULTS[fault]
+    plant(monkeypatch)
     run, ties = RETRACE_CHECKS[check]
     details, counterexample = expected(ties)
     report = run()
@@ -425,11 +429,31 @@ def test_a_faulty_steepest_walk_fails_the_retrace_check(monkeypatch, check, faul
     assert report.counterexample == {"n": 3, **counterexample}
 
 
+@pytest.mark.parametrize("check", list(RETRACE_CHECKS))
+def test_a_longer_reference_walk_fails_the_retrace_check(monkeypatch, check):
+    # The n = 3 ordered walk ends at (B, A, B); one more permitted move takes
+    # variable 0 back to A through its intermediate, state 2.  The check must
+    # read the reference past the steepest walk's end to see it.
+    real = verification._doubled_walk
+
+    def longer(landscape):
+        yield from real(landscape)
+        if landscape.base.base_n == 3:
+            yield from ((0, 2, 0), (0, A, 0))
+
+    monkeypatch.setattr(verification, "_doubled_walk", longer)
+    report = RETRACE_CHECKS[check][0]()
+    assert not report.passed
+    assert report.details == "n=3: decoded walk diverges at state 21"
+    assert report.counterexample == {"n": 3, "state": 21, "decoded": None, "expected": [2, 0, 1]}
+
+
 def test_a_walk_past_a_better_neighbour_fails_the_simulation_check(monkeypatch):
     # The check's n = 3 instance rewards the start's neighbour (0, 0, 2), off
     # the doubled walk, while the engine walks the unrewarded instance: the
     # walk retraces, but its first step is not steepest.
-    real_build, real_engine = verification.build_3by5, verification.steepest_ascent
+    real_build = verification.build_3by5
+    real_walk, real_engine = verification._steepest_walk, verification.steepest_ascent
 
     def rewarded(n):
         inst = real_build(n)
@@ -438,11 +462,13 @@ def test_a_walk_past_a_better_neighbour_fails_the_simulation_check(monkeypatch):
             inst = dataclasses.replace(inst, constraints=inst.constraints + (bait,))
         return inst
 
-    def unrewarded(inst, start):
-        return real_engine(real_build(inst.base_n), start)
-
     monkeypatch.setattr(verification, "build_3by5", rewarded)
-    monkeypatch.setattr(verification, "steepest_ascent", unrewarded)
+    monkeypatch.setattr(
+        verification, "_steepest_walk", lambda inst, start: real_walk(real_build(inst.base_n), start)
+    )
+    monkeypatch.setattr(
+        verification, "steepest_ascent", lambda inst, start: real_engine(real_build(inst.base_n), start)
+    )
     report = check_simulation(4, 4)
     assert not report.passed
     assert report.details == (
@@ -936,16 +962,18 @@ def test_each_loop_reports_its_planted_fault_as_pinned(monkeypatch, loop, n):
 # -- each check keeps one size's walks at a time ---------------------------------------
 
 
+# The retraces call no engine entry point: they stream their walks, so the
+# boolean check walks none and the simulation check only its re-verified ones.
 @pytest.mark.parametrize(
-    "run",
+    "run, walked",
     [
-        lambda: check_ordered_length(6),
-        lambda: check_simulation(6, 6),
-        lambda: check_boolean(2, 6),
+        (lambda: check_ordered_length(6), [2, 3, 4, 5, 6]),
+        (lambda: check_simulation(6, 6), [2, 3, 4, 5, 6]),
+        (lambda: check_boolean(2, 6), []),
     ],
     ids=["ordered-length", "simulation", "boolean"],
 )
-def test_no_check_keeps_a_smaller_walk_alive(monkeypatch, run):
+def test_no_check_keeps_a_smaller_walk_alive(monkeypatch, run, walked):
     returned: dict[int, list[weakref.ref]] = {}
 
     def watched(engine):
@@ -962,7 +990,24 @@ def test_no_check_keeps_a_smaller_walk_alive(monkeypatch, run):
     for name in ("ordered_ascent", "steepest_ascent"):
         monkeypatch.setattr(verification, name, watched(getattr(verification, name)))
     assert run().passed
-    assert sorted(returned) == [2, 3, 4, 5, 6]
+    assert sorted(returned) == walked
+
+
+@pytest.mark.parametrize(
+    "run", [lambda n: check_boolean(1, n), lambda n: check_simulation(n, 2)], ids=["boolean", "simulation"]
+)
+def test_the_retrace_checks_hold_no_walk(run):
+    # The retrace walks double in length every two n (1,428 moves at n = 12,
+    # 6,008 at n = 16), but none is recorded, so the traced peak stays put.
+    peaks = []
+    for n in (12, 16):
+        tracemalloc.start()
+        try:
+            assert run(n).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 256 * 1024, peaks
 
 
 def test_helpers_reject_unknown_labels():
