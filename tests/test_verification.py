@@ -343,7 +343,7 @@ def _tamper_walk(monkeypatch, tamper):
 
     def planted(inst, start):
         moves = real(inst, start)
-        return iter(tamper(list(moves), start)) if inst.base_n == 3 else moves
+        return tamper(list(moves), start) if inst.base_n == 3 else moves
 
     monkeypatch.setattr(verification, "_steepest_walk", planted)
 
