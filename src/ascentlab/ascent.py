@@ -5,7 +5,9 @@ Engines work against any landscape object that exposes `domains`,
 states k's moves depend on) and the unchecked `_delta(x, k, s, v)` hook, as
 `VcspInstance` does.  All three engines run through one pure-Python step
 loop with exact integers, in recorded and summary mode alike; each engine
-only supplies the policy that picks the next move.  Ordered ascent's order ≺
+only supplies the policy that picks the next move.  The loop cuts the move
+stream at a step limit with `islice` and probes it once when the limit was
+reached, so no engine tests the limit per step.  Ordered ascent's order ≺
 is the variable-id order, as for `pad` and `ExpandedLandscape`: an ascent in
 another order is the identity-order ascent of the instance with its
 variables relabelled by it (variable i of the relabelled instance is
@@ -16,24 +18,27 @@ helper, `_blankets`.  A variable's best move depends only on its own state
 and its blanket `var_neighbors(k)`, so the helper memoises it under an
 incrementally updated key over those states.  All variables share one memo:
 each key is shifted past the key spaces (size times blanket sizes) of the
-variables before it, so none collide.  The memo is a list when the walk has
-at most `_TABLE_SLOTS` keys in all, as every chain family up to n = 200 has
-(462 for `2by3` n=32, 11,200 for `bool-pw4` n=18, 176,970 for `3by5` n=200),
+variables before it, so none collide, and one sentinel slot past them all
+reads False.  The memo is a list when the walk has fewer than
+`_TABLE_SLOTS` keys in all, as every chain family up to n = 200 has (462
+for `2by3` n=32, 11,200 for `bool-pw4` n=18, 176,970 for `3by5` n=200),
 else a dict whose missing keys read as None.  Ordered ascent memoises whole
 moves: the key includes the variable's own state, so an improving key also
-fixes the key increments its move causes, and a step replays a stored record
-after one lookup per scan position.  Steepest ascent caches one plain entry
-per variable key; it applies few of the entries it caches, so it stores no
-moves.  It keeps the improving set, a dict from each variable whose best
-gain is positive to that gain, and takes each move from it: the largest
-gain, then the lowest variable id, with the step counted as tied when
-another variable reaches that gain or the variable has more than one best
-target.  After a move one pass over the moved variable's dependants adds
-their key increments, looks up their entries and updates the improving set,
-so a step costs O(blanket + improving set), not O(n).  First-improvement
-ascent calls `_delta` directly, one move at a time: it keeps each variable's
-permitted moves, rebuilds only the moved variable's list, and draws its
-random scan order lazily, so a step pays only for the moves it tests.
+fixes the key increments its move causes and the position the scan resumes
+at, and a step replays a stored record after one lookup per scan position.
+The scan ends at the lookup that reads the sentinel, with no bound test per
+position.  Steepest ascent caches one plain entry per variable key; it
+applies few of the entries it caches, so it stores no moves.  It keeps the
+improving set, a dict from each variable whose best gain is positive to
+that gain, and takes each move from it: the largest gain, then the lowest
+variable id, with the step counted as tied when another variable reaches
+that gain or the variable has more than one best target.  After a move one
+pass over the moved variable's dependants adds their key increments, looks
+up their entries and updates the improving set, so a step costs O(blanket +
+improving set), not O(n).  First-improvement ascent calls `_delta`
+directly, one move at a time: it keeps each variable's permitted moves,
+rebuilds only the moved variable's list, and draws its random scan order
+lazily, so a step pays only for the moves it tests.
 
 The verifiers and the oracle also need `_fitness(x)`, the unchecked
 evaluation of an assignment they have validated, and `_reference_delta(x, k,
@@ -55,7 +60,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import IO, NamedTuple, Sequence
 
 from .model import InvalidAssignmentError
@@ -119,26 +124,25 @@ def _walk(
 
     `moves(x)` yields `(var, target, gain, tied, ambiguous)` for the live
     assignment `x`, reading it again after each applied move, and stops at a
-    local solution.  The walk is terminal unless a move was offered once the
-    step limit had been reached.
+    local solution.  A step limit cuts the stream with `islice`; a walk that
+    applied exactly `step_limit` moves probes the stream once more.  The walk
+    is terminal unless a move was offered once the limit had been reached.
     """
     if step_limit is not None and step_limit < 0:
         raise InvalidAssignmentError(f"step limit must be >= 0, got {step_limit}")
     landscape.check_assignment(start)
     x = list(start)
     f = landscape.fitness(x)
-    limit = -1 if step_limit is None else step_limit
+    stream = moves(x)
     steps: list[StepRecord] | None = [] if record_steps else None
     length = 0
     tie_steps = 0
     ambiguous_steps = 0
-    terminal = True
     # Records are made directly, without the named tuple's Python-level __new__.
     new = tuple.__new__
-    for k, t, gain, tied, ambiguous in moves(x):
-        if length == limit:
-            terminal = False
-            break
+    for k, t, gain, tied, ambiguous in (
+        stream if step_limit is None else islice(stream, step_limit)
+    ):
         if steps is not None:
             steps.append(new(StepRecord, (k, x[k], t, f + gain)))
         x[k] = t
@@ -152,7 +156,7 @@ def _walk(
         start=tuple(start),
         steps=tuple(steps) if steps is not None else None,
         length=length,
-        terminal=terminal,
+        terminal=length != step_limit or next(stream, None) is None,
         policy=policy,
         tie_steps=tie_steps,
         ambiguous_steps=ambiguous_steps,
@@ -161,7 +165,8 @@ def _walk(
     )
 
 
-# A walk with at most this many keys in all tabulates its memo (2 MB of slots).
+# A walk whose keys and sentinel take at most this many slots tabulates its
+# memo (2 MB of slots).
 _TABLE_SLOTS = 1 << 18
 
 
@@ -183,8 +188,11 @@ def _blankets(landscape, x: list[int]):
     `var_neighbors(k)`.  `keys[k]` is a mixed-radix key over those states,
     shifted past the key spaces (size times blanket sizes) of variables 0..k-1;
     `memo[key]` is what the engine stores for it (an entry for steepest, a
-    move record for ordered), or None before the walk visits it.  `memo` is a
-    list when the key spaces sum to at most `_TABLE_SLOTS`, else a `_Sparse`.
+    move record for ordered), or None before the walk visits it.  One more
+    key, `keys[n]`, is the sentinel slot past every key space: it reads False
+    and no move changes it, so a scan over `keys` ends there.  `memo` is a
+    list when the key spaces and the sentinel take at most `_TABLE_SLOTS`
+    slots, else a `_Sparse`.
     After x[k] goes from s to t, the caller adds `(t - s) * w` to `keys[d]`
     for every `(d, w)` in `deps[k]`; those d are the variables whose entry
     may have changed.  Steepest ascent looks up each such d's entry in the
@@ -225,7 +233,9 @@ def _blankets(landscape, x: list[int]):
             w *= sizes[j]
         keys.append(total + s)
         total += w
-    return scan, keys, deps, [None] * total if total <= _TABLE_SLOTS else _Sparse()
+    keys.append(total)
+    memo = [None] * total + [False] if total < _TABLE_SLOTS else _Sparse({total: False})
+    return scan, keys, deps, memo
 
 
 def _steepest_moves(landscape, x: list[int]):
@@ -233,7 +243,7 @@ def _steepest_moves(landscape, x: list[int]):
     `improving`, which maps each variable whose entry improves to its gain."""
     scan, keys, deps, memo = _blankets(landscape, x)
     improving: dict[int, int] = {}
-    for k, key in enumerate(keys):
+    for k, key in enumerate(keys[:-1]):
         e = memo[key] = scan(k)
         if e[0] > 0:
             improving[k] = e[0]
@@ -287,34 +297,37 @@ def steepest_ascent(
 
 
 def _ordered_moves(landscape, x: list[int]):
-    """Ordered ascent's moves, scanning variable ids upward.  An improving key
-    fixes k's state s and target t, so its memo record is the tuple `_walk`
-    consumes plus the key increments `(d, (t - s) * w)` for `(d, w)` in
-    `deps[k]`; a non-improving key stores `()`.  Every improving record found
-    is applied; steepest ascent applies few of its entries, so it keeps plain
-    ones."""
+    """Ordered ascent's moves, scanning variable ids upward until the sentinel
+    slot.  An improving key fixes k's state s and target t, so its memo
+    record is the tuple `_walk` consumes, the key increments `(d, (t - s) *
+    w)` for `(d, w)` in `deps[k]`, and the position the scan resumes at: the
+    lowest d, as only those variables can change their improving status.  A
+    non-improving key stores `()`.  Every improving record found is applied;
+    steepest ascent applies few of its entries, so it keeps plain ones."""
     scan, keys, deps, memo = _blankets(landscape, x)
-    # After moving k, only the variables in deps[k] can change their improving
-    # status, so the scan resumes at the lowest of them.
-    back = [min(d for d, _ in dk) for dk in deps]
-    n = len(keys)
     k = 0
-    while k < n:
+    while True:
         rec = memo[keys[k]]
         if rec:
-            move, increments = rec
+            move, increments, k = rec
             yield move
             for d, inc in increments:
                 keys[d] += inc
-            k = back[k]
         elif rec is None:
             # A miss stores k's record; the next pass replays it.
             g, t, _, improving = scan(k)
             diff = t - x[k]
+            dk = deps[k]
             memo[keys[k]] = (
-                ((k, t, g, False, improving > 1), tuple((d, diff * w) for d, w in deps[k]))
+                (
+                    (k, t, g, False, improving > 1),
+                    tuple((d, diff * w) for d, w in dk),
+                    min(d for d, _ in dk),
+                )
                 if t >= 0 else ()
             )
+        elif rec is False:
+            return
         else:
             k += 1
 

@@ -181,20 +181,15 @@ def _each_n(cap: int, fault: Callable[[int], _Fault]) -> tuple[bool, str, dict] 
     return None
 
 
-def _first_difference(
-    got: Iterable, want: Iterable, got_end=None, want_end=None
-) -> tuple[int, object, object] | None:
+def _first_difference(got: Iterable, want: Iterable) -> tuple[int, object, object] | None:
     """The first index where two iterables differ, as `(i, got_i, want_i)`,
     or None; both are read once, side by side, and no further.  When one is a
     prefix of the other they differ at the shorter length, and the missing
-    side reads None.  Equal iterables differ at their length when their ends
-    `got_end` and `want_end` do.  Items, not types, are compared."""
-    i = 0
-    for g, w in itertools.zip_longest(got, want, fillvalue=_MISSING):
+    side reads None.  Items, not types, are compared."""
+    for i, (g, w) in enumerate(itertools.zip_longest(got, want, fillvalue=_MISSING)):
         if g != w:
             return i, None if g is _MISSING else g, None if w is _MISSING else w
-        i += 1
-    return None if got_end == want_end else (i, got_end, want_end)
+    return None
 
 
 def _steepest_walk(instance: VcspInstance, start: Sequence[int]):

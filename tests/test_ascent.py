@@ -152,6 +152,93 @@ def test_chain_families_tabulate_and_random_blankets_stay_sparse():
     assert type(_blankets(inst, list(start))[3]) is _Sparse
 
 
+_NO_MOVES = DomainSpec(("A", "B", "C"), frozenset())
+SENTINEL_CASES = [
+    pytest.param(VcspInstance((), ()), (), 0, id="no-variables"),
+    pytest.param(
+        VcspInstance(
+            (_NO_MOVES, _NO_MOVES), (ValuedConstraint((0, 1), tuple(range(9)), "rising"),)
+        ),
+        (A, A),
+        0,
+        id="no-permitted-move",
+    ),
+    # Only variable 3 improves, so the first scan reaches position n-1.
+    pytest.param(build_2by3(4), (B, C, A, B), 6, id="2by3-last-variable"),
+]
+
+
+@pytest.mark.parametrize("inst, start, length", SENTINEL_CASES)
+def test_ordered_scan_stops_at_the_sentinel_of_either_memo(monkeypatch, inst, start, length):
+    table = ordered_ascent(inst, start)
+    assert table.length == length and table.terminal
+    assert verify_ordered(inst, table) is None
+    if length:
+        assert ascent._improving_move(inst, start)[0] == table.steps[0].var == inst.n_vars - 1
+    monkeypatch.setattr(ascent, "_TABLE_SLOTS", 0)
+    assert type(_blankets(inst, list(start))[3]) is _Sparse
+    sparse = ordered_ascent(inst, start)
+    assert sparse == table
+    assert verify_ordered(inst, sparse) is None
+
+
+def _engine_stream(moves, landscape, start):
+    """Each move the engine's stream offers from `start`, applied, as
+    `(record, tied, ambiguous)`, read to the stream's end without `_walk`."""
+    x = list(start)
+    f = landscape.fitness(x)
+    out = []
+    for k, t, gain, tied, ambiguous in moves(landscape, x):
+        f += gain
+        out.append((StepRecord(k, x[k], t, f), tied, ambiguous))
+        x[k] = t
+    return out
+
+
+@pytest.mark.parametrize(
+    "engine, moves",
+    [
+        (steepest_ascent, ascent._steepest_moves),
+        (ordered_ascent, ascent._ordered_moves),
+        (
+            functools.partial(first_improvement_ascent, seed=3),
+            lambda landscape, x: ascent._first_moves(landscape, x, 3),
+        ),
+    ],
+    ids=["steepest", "ordered", "first"],
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (build_2by3(4), canonical_start("2by3", 4)),
+        lambda: (build_family("bool-pw4", 4), canonical_start("bool-pw4", 4)),
+        lambda: _random_vcsp(17),
+    ],
+    ids=["2by3-4", "bool-pw4-4", "random-vcsp"],
+)
+def test_a_step_limit_cuts_the_unlimited_walk(engine, moves, make):
+    landscape, start = make()
+    stream = _engine_stream(moves, landscape, start)
+    full = engine(landscape, start)
+    assert full.steps == tuple(rec for rec, _, _ in stream) and full.length > 0
+    for limit in range(full.length + 2):
+        cut = stream[:limit]
+        x = list(start)
+        for rec, _, _ in cut:
+            x[rec.var] = rec.dst
+        for record_steps in (True, False):
+            tr = engine(landscape, start, step_limit=limit, record_steps=record_steps)
+            assert tr.steps == (tuple(rec for rec, _, _ in cut) if record_steps else None)
+            assert tr.length == len(cut)
+            assert tr.final == tuple(x)
+            assert tr.final_fitness == (
+                cut[-1][0].fitness_after if cut else landscape.fitness(start)
+            )
+            assert tr.tie_steps == sum(tied for _, tied, _ in cut)
+            assert tr.ambiguous_steps == sum(ambiguous for _, _, ambiguous in cut)
+            assert tr.terminal == (limit >= full.length)
+
+
 def test_ordered_prefers_the_earliest_variable():
     tr = ordered_ascent(build_2by3(2), (A, A))
     assert tr.steps[0] == StepRecord(var=0, src=A, dst=B, fitness_after=1)
