@@ -37,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ascent import AscentTrace, StepRecord
 from .model import (
@@ -346,7 +346,7 @@ class ExpandedLandscape:
     is this order on a relabelled base) whose two completions differ.
     `_completions` lists a state's completions' base fitness and `_padded`
     applies the rule to them; `_fitness` and `padding_defect` read both, and
-    `simulate_ascent` applies `_padded` to the completions it evaluates.  The
+    `double`, the one doubling of a base walk, applies `_padded`.  The
     padding check bounds a state with two intermediates j and k by `_ceiling`:
     its value plus both bonuses.
 
@@ -407,6 +407,22 @@ class ExpandedLandscape:
         inter = self._intermediates(x)
         return self._padded(inter, self._completions(x, inter))
 
+    def double(self, x: list[int], moves: Iterable) -> Iterator[tuple[int, int, int, int]]:
+        """Each base move `(k, v, ...)` made on the live list `x`, as steps
+        `(k, u, σ(u, v), padded)` then `(k, σ, v, scale·f)`, u read before the
+        move; f is `x`'s base fitness from scratch, then summed from
+        `_reference_delta` gains, so `moves` only picks the moves.  No checks."""
+        base, scale = self.base, self.scale
+        f = base._fitness(x)
+        for k, v, *_ in moves:
+            u = x[k]
+            g = base._reference_delta(x, k, v)
+            sid = self.doms[k].sigma_id(u, v)
+            yield k, u, sid, self._padded((k,), (f, f + g))
+            x[k] = v
+            f += g
+            yield k, sid, v, scale * f
+
     def _ceiling(self, x: Sequence[int], inter: list[int]) -> int:
         """The two-intermediate ceiling; anything at or below it keeps such
         states off a steepest ascent."""
@@ -443,42 +459,33 @@ def simulate_ascent(trace: AscentTrace, landscape: ExpandedLandscape) -> AscentT
     """Double a base ascent into main/intermediate alternation.
 
     Every base step u->v at variable k becomes two steps through the
-    intermediate state between u and v, with fitness taken from the expanded
-    landscape's one rule (`ExpandedLandscape._padded`).  The base fitness of
-    each main state is computed from scratch once, and it gives the padded
-    fitness of the main state and of the intermediate step into the next one.
-    The start and each step's variable, source state and transition are
-    checked, so every state reached is valid.
+    intermediate state between u and v, as `ExpandedLandscape.double` makes
+    them; the final state is evaluated from scratch.  The start and each
+    step's variable, source state and transition are checked first, so every
+    state reached is valid.
     """
     if trace.steps is None:
         raise BuildError("simulate_ascent needs a trace with recorded steps")
-    base, scale = landscape.base, landscape.scale
+    base = landscape.base
     base.check_assignment(trace.start)
     x = list(trace.start)
-    f_before = base._fitness(x)
-    steps: list[StepRecord] = []
     for i, (k, u, v, _) in enumerate(trace.steps):
         if not (0 <= k < len(x) and x[k] == u):
             raise BuildError(f"step {i} (variable {k}, {u} -> {v}) does not start from the walk")
         if not base.domains[k].allows(u, v):
             raise BuildError(f"step {i} (variable {k}, {u} -> {v}) is not a permitted move")
-        sid = landscape.doms[k].sigma_id(u, v)
         x[k] = v
-        f_after = base._fitness(x)
-        steps.append(StepRecord(k, u, sid, landscape._padded((k,), (f_before, f_after))))
-        steps.append(StepRecord(k, sid, v, scale * f_after))
-        f_before = f_after
-    final = tuple(x)
+    moves = map(operator.itemgetter(0, 2), trace.steps)  # (var, dst) of each step
     return AscentTrace(
         start=tuple(trace.start),
-        steps=tuple(steps),
+        steps=tuple(map(StepRecord._make, landscape.double(list(trace.start), moves))),
         length=2 * trace.length,
         terminal=trace.terminal,
         policy="simulated",
         tie_steps=0,
         ambiguous_steps=0,
-        final=final,
-        final_fitness=scale * f_before,
+        final=tuple(x),
+        final_fitness=landscape._fitness(x),
     )
 
 
@@ -587,6 +594,16 @@ class BooleanCodec:
 
     collections: tuple[CollectionCodec, ...]
 
+    def __post_init__(self) -> None:
+        cs = enumerate(self.collections)
+        owner = {b: (i, c) for i, c in cs for b in range(c.offset, c.offset + c.width)}
+        object.__setattr__(self, "_owner", owner)  # {bit: (index, codec) of its collection}
+
+    def decode_moved(self, bits: Sequence[int], bit: int) -> tuple[int, int | None]:
+        """(index, state or None) of the collection holding `bit` in `bits`."""
+        i, c = self._owner[bit]  # type: ignore[attr-defined]
+        return i, c.decode(tuple(bits[c.offset : c.offset + c.width]))
+
     def split(self, bits: Sequence[int]) -> list[tuple[int, ...]]:
         out = []
         for c in self.collections:
@@ -609,20 +626,12 @@ class BooleanCodec:
         the collection that holds the moved bit.  Refuses a summary-mode trace."""
         if trace.steps is None:
             raise ValueError("trace was recorded in summary mode; no steps to replay")
-        # {bit: index of the collection holding it}
-        owner = {}
-        for i, c in enumerate(self.collections):
-            for bit in range(c.offset, c.offset + c.width):
-                owner[bit] = i
         bits = list(trace.start)
 
         def step(states: list[int | None], rec: StepRecord) -> list[int | None]:
             bits[rec.var] = rec.dst
             states = states.copy()
-            i = owner.get(rec.var)
-            if i is not None:
-                c = self.collections[i]
-                states[i] = c.decode(tuple(bits[c.offset : c.offset + c.width]))
+            i, states[i] = self.decode_moved(bits, rec.var)
             return states
 
         return itertools.accumulate(trace.steps, step, initial=self.decode_states(bits))

@@ -9,7 +9,7 @@ ties it to the full build.  `3by5` and `bool-pw4` encode one padded
 chain, so each of their two claims has one checker that only decodes them
 differently: `padding_violation` and `_retrace_failure`.  The retrace
 records no walk: it compares each move of the steepest engine
-(`_steepest_walk`) with the doubled ordered walk (`_doubled_walk`) as both
+(`_steepest_moves`) with the doubled ordered walk (`_doubled_walk`) as both
 are made, so its memory does not grow with the walk.  `_each_n` is the one
 loop over n = 2..cap of the capped checks: each hands it a fault function
 of n, so one size's instances and walks are gone before the next is built.
@@ -192,33 +192,12 @@ def _first_difference(got: Iterable, want: Iterable) -> tuple[int, object, objec
     return None
 
 
-def _steepest_walk(instance: VcspInstance, start: Sequence[int]):
-    """Steepest ascent from `start`, as `steepest_ascent` walks it, on a copy
-    of `start`: each applied move as `(var, dst, fitness_after, tied)`, none
-    recorded."""
-    x = list(start)
-    f = instance.fitness(x)
-    for k, t, gain, tied, _ in _steepest_moves(instance, x):
-        x[k] = t
-        f += gain
-        yield k, t, f, tied
-
-
 def _doubled_walk(landscape: ExpandedLandscape):
     """The ordered walk of `landscape.base` from its canonical start, doubled
-    onto the landscape: each base move (k, u -> v) as `(k, σ(u, v), fitness)`
-    then `(k, v, fitness)`, valued by `_padded`.  The base fitness is
-    evaluated from scratch at the start, then summed from `_reference_delta`
-    gains: the engine's `_delta` and memo only pick the moves."""
-    base, scale = landscape.base, landscape.scale
-    y = list(canonical_start("2by3", base.base_n))
-    f = base._fitness(y)
-    for k, v, *_ in _ordered_moves(base, y):
-        g = base._reference_delta(y, k, v)
-        yield k, landscape.doms[k].sigma_id(y[k], v), landscape._padded((k,), (f, f + g))
-        y[k] = v
-        f += g
-        yield k, v, scale * f
+    onto the landscape by `ExpandedLandscape.double`, as `simulate_ascent`
+    doubles a recorded one: the engine's `_delta` and memo only pick the moves."""
+    y = list(canonical_start("2by3", landscape.base.base_n))
+    return landscape.double(y, _ordered_moves(landscape.base, y))
 
 
 def _retrace_failure(
@@ -228,43 +207,41 @@ def _retrace_failure(
     from `start`, a padded encoding of 2by3(n) decoded by `codec` (None: no
     decoding), does not retrace `_doubled_walk` in length, states and fitness
     values, or does not tie on exactly `ties` steps; else None.  One pass
-    reads `_steepest_walk` to its end beside the live reference, decoding per
-    move only the collection that holds the moved bit, as `decode_walk` does.
-    It keeps only the first diverging state, where a side that ran out reads
-    None, and the first diverging fitness value, where the walk's end counts
-    as step 2·f_max(n) against the reference's end evaluated from scratch."""
+    drives `_steepest_moves` on `bits`, applying each move once and summing
+    its gain, beside the live reference, decoding per move only the moved
+    bit's collection (`BooleanCodec.decode_moved`).  It keeps only a copy of
+    the first diverging state, where a side that ran out reads None, and the
+    first diverging fitness value, where the walk's end counts as step
+    2·f_max(n) against the reference's end evaluated from scratch."""
     landscape = ExpandedLandscape(build_2by3(n))
     bits, want = list(start), list(canonical_start("2by3", n))
-    got, owner = bits, None
-    if codec is not None:
-        got, cs = codec.decode_states(bits), codec.collections
-        owner = {b: (i, c) for i, c in enumerate(cs) for b in range(c.offset, c.offset + c.width)}
+    got = bits if codec is None else codec.decode_states(bits)
     reference = _doubled_walk(landscape)
-    state = None if got == want else (0, got, want)
-    fitness = f = None
+    state = None if got == want else (0, got[:], want)
+    fitness, f = None, instance.fitness(bits)
     length = tied = 0
-    for var, dst, f, was_tied in _steepest_walk(instance, start):
+    for var, dst, gain, was_tied, _ in _steepest_moves(instance, bits):
+        bits[var] = dst
+        f += gain
         length += 1
         tied += was_tied
         if state is not None:
             continue
-        bits[var] = dst
-        if owner is not None:
-            i, c = owner[var]
-            got[i] = c.decode(tuple(bits[c.offset : c.offset + c.width]))
+        if codec is not None:
+            i, got[i] = codec.decode_moved(bits, var)
         step = next(reference, None)
         if step is None:
-            state = (length, got, None)
+            state = (length, got[:], None)
             continue
-        want[step[0]] = step[1]
+        want[step[0]] = step[2]
         if got != want:
-            state = (length, got, want)
-        elif fitness is None and f != step[2]:
-            fitness = (length - 1, f, step[2])
+            state = (length, got[:], want)
+        elif fitness is None and f != step[3]:
+            fitness = (length - 1, f, step[3])
     if state is None:
         step = next(reference, None)
         if step is not None:
-            want[step[0]] = step[1]
+            want[step[0]] = step[2]
             state = (length + 1, None, want)
         elif fitness is None and f != (expected := landscape._fitness(want)):
             fitness = (length, f, expected)  # f is the walk's end

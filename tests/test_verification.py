@@ -20,13 +20,16 @@ from ascentlab import (
     build_2by3,
     build_3by5,
     build_boolean_pw4,
+    canonical_start,
     check_path_decomposition,
     exhaustive_steepest_oracle,
+    ordered_ascent,
     rank1_split,
     run_all,
+    simulate_ascent,
     steepest_ascent,
 )
-from ascentlab import constructions, verification
+from ascentlab import ascent, constructions, verification
 from ascentlab.constructions import ODD_MIN, boolean_pw4_hypergraph, f_max
 from ascentlab.verification import (
     CHECK_NAMES,
@@ -337,35 +340,41 @@ def test_a_diverging_decoded_walk_fails_the_boolean_check(monkeypatch):
 
 
 def _tamper_walk(monkeypatch, tamper):
-    """Make every n = 3 steepest walk the retrace checks read yield
-    `tamper(moves, start)` in place of its list of moves."""
-    real = verification._steepest_walk
+    """Make every n = 3 steepest walk the retrace checks drive yield
+    `tamper(moves, start)` in place of its list of moves `(var, dst, gain,
+    tied, ambiguous)`, which it reads off a copy of the start."""
+    real = verification._steepest_moves
 
-    def planted(inst, start):
-        moves = real(inst, start)
-        return tamper(list(moves), start) if inst.base_n == 3 else moves
+    def planted(inst, x):
+        if inst.base_n != 3:
+            return real(inst, x)
+        y, moves = list(x), []
+        for move in real(inst, y):
+            y[move[0]] = move[1]
+            moves.append(move)
+        return iter(tamper(moves, list(x)))
 
-    monkeypatch.setattr(verification, "_steepest_walk", planted)
+    monkeypatch.setattr(verification, "_steepest_moves", planted)
 
 
 def _unmoved_at_step_4(moves, start):
     x = list(start)
-    for var, dst, _, _ in moves[:4]:
+    for var, dst, *_ in moves[:4]:
         x[var] = dst
-    var, _, fitness, tied = moves[4]
-    moves[4] = (var, x[var], fitness, tied)
+    var, _, *rest = moves[4]
+    moves[4] = (var, x[var], *rest)
     return moves
 
 
 def _bumped_at_step_4(moves, start):
-    var, dst, fitness, tied = moves[4]
-    moves[4] = (var, dst, fitness + 1, tied)
+    var, dst, gain, *rest = moves[4]
+    moves[4] = (var, dst, gain + 1, *rest)
     return moves
 
 
 def _one_more_tie(moves, start):
-    i = next(i for i, (_, _, _, tied) in enumerate(moves) if not tied)
-    moves[i] = (*moves[i][:3], True)
+    i = next(i for i, (_, _, _, tied, _) in enumerate(moves) if not tied)
+    moves[i] = (*moves[i][:3], True, moves[i][4])
     return moves
 
 
@@ -429,6 +438,36 @@ def test_a_faulty_steepest_walk_fails_the_retrace_check(monkeypatch, check, faul
     assert report.counterexample == {"n": 3, **counterexample}
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_the_live_reference_is_the_recorded_doubled_walk(n):
+    # The retrace's reference doubles the ordered moves as the engine makes
+    # them, on the list the engine reads: a move not applied would part it
+    # from the recorded walk's doubling, and a source state read after the
+    # move would part both from the steepest engine's record on 3by5.
+    base, start = build_2by3(n), canonical_start("2by3", n)
+    landscape = ExpandedLandscape(base)
+    recorded = simulate_ascent(ordered_ascent(base, start), landscape)
+    assert list(verification._doubled_walk(landscape)) == list(recorded.steps)
+    assert steepest_ascent(build_3by5(n), canonical_start("3by5", n)).steps == recorded.steps
+    x = list(start)
+    assert list(landscape.double(x, ascent._ordered_moves(base, x))) == list(recorded.steps)
+    assert tuple(x) == recorded.final
+
+
+@pytest.mark.parametrize("check", list(RETRACE_CHECKS))
+def test_a_reference_off_the_start_fails_the_retrace_check_at_state_0(monkeypatch, check):
+    # The walk keeps moving its list after the divergence, so the report must
+    # hold a copy of the start it diverged at, not the walk's end (B, A, B).
+    real = verification.canonical_start
+    off = {("2by3", 3): (1, A, A)}
+    monkeypatch.setattr(verification, "canonical_start", lambda f, n: off.get((f, n)) or real(f, n))
+    report = RETRACE_CHECKS[check][0]()
+    assert not report.passed
+    assert report.details == "n=3: decoded walk diverges at state 0"
+    cex = {"n": 3, "state": 0, "decoded": [A, A, A], "expected": [1, A, A]}
+    assert report.counterexample == cex
+
+
 @pytest.mark.parametrize("check", list(RETRACE_CHECKS))
 def test_a_longer_reference_walk_fails_the_retrace_check(monkeypatch, check):
     # The n = 3 ordered walk ends at (B, A, B); one more permitted move takes
@@ -439,7 +478,7 @@ def test_a_longer_reference_walk_fails_the_retrace_check(monkeypatch, check):
     def longer(landscape):
         yield from real(landscape)
         if landscape.base.base_n == 3:
-            yield from ((0, 2, 0), (0, A, 0))
+            yield from ((0, 1, 2, 0), (0, 2, A, 0))  # B -> 2 -> A
 
     monkeypatch.setattr(verification, "_doubled_walk", longer)
     report = RETRACE_CHECKS[check][0]()
@@ -453,7 +492,7 @@ def test_a_walk_past_a_better_neighbour_fails_the_simulation_check(monkeypatch):
     # the doubled walk, while the engine walks the unrewarded instance: the
     # walk retraces, but its first step is not steepest.
     real_build = verification.build_3by5
-    real_walk, real_engine = verification._steepest_walk, verification.steepest_ascent
+    real_moves, real_engine = verification._steepest_moves, verification.steepest_ascent
 
     def rewarded(n):
         inst = real_build(n)
@@ -464,7 +503,7 @@ def test_a_walk_past_a_better_neighbour_fails_the_simulation_check(monkeypatch):
 
     monkeypatch.setattr(verification, "build_3by5", rewarded)
     monkeypatch.setattr(
-        verification, "_steepest_walk", lambda inst, start: real_walk(real_build(inst.base_n), start)
+        verification, "_steepest_moves", lambda inst, x: real_moves(real_build(inst.base_n), x)
     )
     monkeypatch.setattr(
         verification, "steepest_ascent", lambda inst, start: real_engine(real_build(inst.base_n), start)
